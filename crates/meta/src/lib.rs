@@ -29,10 +29,10 @@
 //!   generator-known relevance;
 //! * [`savvy`] — a SavvySearch-style learned selector (§5);
 //! * [`pipeline`] — the pipeline decomposed into reusable stages
-//!   (plan / per-source dispatch / merge) shared by the scoped
+//!   (plan / per-source dispatch / merge) shared by the
 //!   metasearcher and the `starts-serve` executor pool;
 //! * [`metasearcher`] — the end-to-end pipeline over the simulated
-//!   network, with parallel fan-out and latency/cost accounting.
+//!   network, with per-source dispatch and latency/cost accounting.
 
 pub mod adapt;
 pub mod cache;

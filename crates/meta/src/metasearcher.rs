@@ -1,11 +1,12 @@
-//! The end-to-end metasearcher: select → adapt → dispatch (parallel) →
-//! merge, with latency and cost accounting.
+//! The end-to-end metasearcher: select → adapt → dispatch → merge,
+//! with latency and cost accounting.
 //!
 //! This is the component the paper's §1 describes and §3.4 specifies:
 //! it gives "users the illusion of a single combined document source"
 //! over heterogeneous STARTS sources.
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -118,7 +119,7 @@ pub struct QueryStats {
 impl QueryStats {
     /// Fold one exchange's accounting into the totals. Public so the
     /// serving layer (`starts-serve`) can account its pooled dispatches
-    /// the same way the scoped metasearcher does.
+    /// the same way the metasearcher does.
     pub fn absorb(&mut self, e: &Exchange) {
         self.requests += 1;
         self.total_latency_ms += u64::from(e.latency_ms);
@@ -194,14 +195,20 @@ impl<'n> Metasearcher<'n> {
 
     /// Run the full pipeline for one query.
     ///
-    /// Composes the stages in [`crate::pipeline`] under a scoped
-    /// per-query fan-out: one worker thread per selected source, joined
-    /// before returning. A panicking worker does **not** poison the
-    /// query — it is recorded as a failed-source outcome (health board,
-    /// `meta.dispatch.failures`, `meta.dispatch.panics`) and the merge
-    /// proceeds with the sources that answered. The concurrent serving
-    /// layer (`starts-serve`) runs the same stages on a shared executor
-    /// pool instead.
+    /// Composes the stages in [`crate::pipeline`] on the calling thread:
+    /// the selected sources are dispatched one after another, in
+    /// selection order, with no worker threads. A panicking exchange
+    /// does **not** poison the query — it is recorded as a failed-source
+    /// outcome (health board, `meta.dispatch.failures`,
+    /// `meta.dispatch.panics`) and the merge proceeds with the sources
+    /// that answered.
+    ///
+    /// Under [`SimNet::set_pacing`] each exchange sleeps out its
+    /// simulated latency, so this path takes the *sum* of the selected
+    /// links' paced latencies, not their max. Racing paced sources
+    /// against each other (hedges, deadlines) is the job of the
+    /// concurrent serving layer (`starts-serve`), which runs the same
+    /// stages on shared worker pools.
     pub fn search(&self, query: &Query) -> MetaResponse {
         let obs = self.net.registry();
         let query_id = starts_obs::trace::next_query_id();
@@ -215,60 +222,50 @@ impl<'n> Metasearcher<'n> {
         // 1+2. Select sources and adapt the query per source.
         let plan = pipeline::plan(&self.catalog, &self.config, query, obs, t0);
 
-        // 3. Dispatch in parallel (the fan-out of Figure 1's client).
+        // 3. Dispatch: one exchange per selected source, in selection
+        // order, on the calling thread.
         let client = StartsClient::new(self.net);
-        let mut slots: Vec<Option<pipeline::TaskSuccess>> = Vec::new();
-        slots.resize_with(plan.tasks.len(), || None);
+        let health = &self.config.health;
         let dispatch_start = elapsed_us(t0);
-        {
+        let successes: Vec<pipeline::TaskSuccess> = {
             let dispatch = obs.span("dispatch");
-            let dispatch_handle = dispatch.handle();
-            let health = &self.config.health;
-            let timeout_ms = self.config.timeout_ms;
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (slot, task) in slots.iter_mut().zip(&plan.tasks) {
-                    let client = &client;
-                    let dispatch_handle = &dispatch_handle;
-                    let query_id = &query_id;
-                    let handle = scope.spawn(move |_| {
-                        // The worker thread's span stack is empty;
-                        // run_task parents to the dispatch span
-                        // explicitly via the handle.
-                        *slot = pipeline::run_task(
-                            client,
+            let parent = dispatch.handle();
+            plan.tasks
+                .iter()
+                .filter_map(|task| {
+                    let run = || {
+                        pipeline::run_task(
+                            &client,
                             task,
                             health,
-                            timeout_ms,
-                            dispatch_handle,
-                            query_id,
+                            self.config.timeout_ms,
+                            &parent,
+                            &query_id,
                             t0,
                             None,
                         )
-                        .ok();
-                    });
-                    handles.push((task.id.clone(), handle));
-                }
-                for (source, h) in handles {
-                    // Panic isolation: a worker that panicked becomes a
+                    };
+                    // Panic isolation: a panicking exchange becomes a
                     // failed-source outcome instead of poisoning the
                     // whole query.
-                    if h.join().is_err() {
-                        pipeline::record_panicked_dispatch(obs, health, &source);
+                    match catch_unwind(AssertUnwindSafe(run)) {
+                        Ok(outcome) => outcome.ok(),
+                        Err(_) => {
+                            pipeline::record_panicked_dispatch(obs, health, &task.id);
+                            None
+                        }
                     }
-                }
-            })
-            .expect("crossbeam scope");
-        }
+                })
+                .collect()
+        };
         let dispatch_end = elapsed_us(t0);
         // Publish the refreshed scoreboard so every exporter (and the
         // /stats endpoint of anyone sharing this registry) carries it.
-        self.config.health.export_to(obs);
+        health.export_to(obs);
         let mut stats = QueryStats::default();
         let mut source_stages = Vec::new();
-        let per_source: Vec<SourceResult> = slots
+        let per_source: Vec<SourceResult> = successes
             .into_iter()
-            .flatten()
             .map(|success| {
                 stats.absorb(&success.exchange);
                 source_stages.push(success.stage);
@@ -652,6 +649,35 @@ mod tests {
         // A healthy source is untouched.
         assert_eq!(snap.counter("meta.dispatch.panics", &[("source", "DB")]), 0);
         assert_eq!(meta.config.health.health("DB").unwrap().availability, 1.0);
+    }
+
+    #[test]
+    fn search_runs_every_source_on_the_calling_thread() {
+        let net = SimNet::new();
+        wire_topical_net(&net);
+        let catalog = catalog_for(&net, &["DB", "Food", "Stars"]);
+        // Each query endpoint notes the thread it runs on and answers
+        // with an empty result list.
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        for entry in &catalog.entries {
+            let (seen, id) = (Arc::clone(&seen), entry.id.clone());
+            net.register(
+                entry.query_url().to_string(),
+                LinkProfile::default(),
+                Arc::new(move |_req: &[u8]| {
+                    seen.lock().push(std::thread::current().id());
+                    starts_proto::QueryResults {
+                        sources: vec![id.clone()],
+                        ..Default::default()
+                    }
+                    .to_soif_stream()
+                }),
+            );
+        }
+        let meta = Metasearcher::new(&net, catalog, MetaConfig::default());
+        let resp = meta.search(&ranked_query(r#"list((body-of-text "text"))"#));
+        assert_eq!(resp.per_source.len(), 3);
+        assert_eq!(*seen.lock(), vec![std::thread::current().id(); 3]);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The metasearch pipeline, decomposed into reusable stages.
 //!
-//! [`Metasearcher::search`](crate::Metasearcher::search) used to be one
-//! monolithic function: select → adapt → per-source dispatch → merge.
-//! The concurrent serving layer (`starts-serve`) needs the same stages
-//! but under a different execution regime — a shared worker pool instead
-//! of scoped per-query threads, hedged dispatch, deadlines that abandon
-//! stragglers. This module is the common ground both execute on:
+//! [`Metasearcher::search`](crate::Metasearcher::search) runs select →
+//! adapt → per-source dispatch → merge on the calling thread, one
+//! source after another. The concurrent serving layer (`starts-serve`)
+//! runs the same stages under a different execution regime — shared
+//! worker pools, hedged dispatch, deadlines that abandon stragglers.
+//! This module is the common ground both execute on:
 //!
 //! * [`plan`] — selection + adaptation, producing fully *owned*
-//!   [`DispatchTask`]s that any thread (scoped or pooled, outliving the
-//!   query or not) can run;
+//!   [`DispatchTask`]s that any thread (the caller's or a pool
+//!   worker's, outliving the query or not) can run;
 //! * [`run_task`] — the per-source dispatch body: trace-context
 //!   propagation, the wire exchange (cancellable), health recording,
 //!   and the per-worker [`StageCost`] with the host's `XQueryProfile`
@@ -205,9 +205,13 @@ pub fn plan(
 /// Opens a `source` span under `parent` (the dispatch span's handle),
 /// threads the trace context over the wire, records the outcome on the
 /// health board, and builds the per-worker [`StageCost`] with the
-/// host's `XQueryProfile` grafted in — exactly what the scoped worker
-/// in `Metasearcher::search` always did, now callable from a shared
-/// pool with an optional [`CancelToken`].
+/// host's `XQueryProfile` grafted in. `Metasearcher::search` calls it
+/// inline; the serving layer's pool workers pass a [`CancelToken`].
+///
+/// A cancelled exchange returns [`TaskError::Cancelled`] without
+/// touching any counter: `meta.dispatch.cancelled` is counted by
+/// whoever decides the cancellation, before the query's response is
+/// returned.
 #[allow(clippy::too_many_arguments)]
 pub fn run_task(
     client: &StartsClient<'_>,
@@ -277,8 +281,6 @@ pub fn run_task(
         Err(e) if e.is_cancelled() => {
             // A lost hedge race or an expired deadline: the source did
             // nothing wrong, so its health is untouched.
-            obs.counter_with("meta.dispatch.cancelled", &[("source", &task.id)])
-                .inc();
             Err(TaskError::Cancelled)
         }
         Err(_) => {

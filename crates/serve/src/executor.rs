@@ -201,8 +201,8 @@ struct QueryJob {
 /// Per-source state of one dispatch wave.
 #[derive(Default)]
 struct TaskSlot {
-    /// The final outcome; `None` while attempts are in flight (or after
-    /// every attempt was cancelled by the deadline).
+    /// The final outcome; `None` while attempts are in flight. The
+    /// wave's leader closes every slot when it collects the wave.
     outcome: Option<Result<TaskSuccess, TaskError>>,
     /// Attempts currently queued or running.
     inflight: usize,
@@ -621,13 +621,20 @@ fn run_wave(
     let mut completeness: Vec<SourceCompleteness> = Vec::new();
     for (i, slot) in slots.iter_mut().enumerate() {
         let source = plan.tasks[i].id.clone();
-        let status = match slot.outcome.take() {
+        // Close the slot as it is read: a straggler finishing after this
+        // point finds it decided and changes nothing.
+        let status = match slot.outcome.replace(Err(TaskError::Cancelled)) {
             Some(Ok(success)) => {
                 successes.push(success);
                 SourceStatus::Complete
             }
             Some(Err(_)) => SourceStatus::Failed,
-            None => SourceStatus::TimedOut,
+            None => {
+                // The deadline cancelled every attempt still in flight.
+                obs.counter_with("meta.dispatch.cancelled", &[("source", &source)])
+                    .add(slot.inflight as u64);
+                SourceStatus::TimedOut
+            }
         };
         completeness.push(SourceCompleteness { source, status });
     }
@@ -777,6 +784,8 @@ fn dispatch_worker(inner: &Arc<ServerInner>) {
                 for token in &slot.tokens {
                     token.cancel();
                 }
+                obs.counter_with("meta.dispatch.cancelled", &[("source", &job.task.id)])
+                    .add(slot.inflight as u64);
                 if job.attempt > 0 {
                     obs.counter_with("serve.hedge.wins", &[("source", &job.task.id)])
                         .inc();

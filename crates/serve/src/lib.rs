@@ -1,10 +1,11 @@
 //! The concurrent serving layer: a query executor over the metasearch
 //! pipeline built for sustained multi-client load.
 //!
-//! [`Metasearcher::search`](starts_meta::Metasearcher) spawns one
-//! scoped thread per selected source per query — fine for a single
-//! caller, wasteful under concurrency. [`Server`] runs the same
-//! pipeline stages ([`starts_meta::pipeline`]) under a serving regime:
+//! [`Metasearcher::search`](starts_meta::Metasearcher) dispatches the
+//! selected sources one after another on the caller's thread — the
+//! cheapest path for a single caller, but it cannot race paced sources
+//! or serve many clients at once. [`Server`] runs the same pipeline
+//! stages ([`starts_meta::pipeline`]) under a serving regime:
 //!
 //! * **Fixed worker pools** — a query pool executes whole queries off a
 //!   bounded admission queue; a shared dispatch pool runs the

@@ -98,7 +98,19 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
     // Phase 3: execute — search, answer specification, result objects.
     let execute_start = elapsed_us(t0);
     let _span = obs.map(|reg| reg.span("execute"));
-    let limit = fast_path_limit(&query.answer, ranking_ir.is_some());
+    let limit = fast_path_limit(&query.answer, ranking_ir.is_some()).map(|k| {
+        // The cap comes off the wire and sizes the engine's top-k heap:
+        // clamp it to the corpus, which no result list can exceed.
+        let n_docs = source.num_docs() as usize;
+        if k <= n_docs {
+            return k;
+        }
+        if let Some(reg) = obs {
+            reg.counter_with("source.request.clamped", &[("source", source.id())])
+                .inc();
+        }
+        n_docs
+    });
     if let Some(reg) = obs {
         reg.counter(if limit.is_some() {
             "engine.topk.bounded"
@@ -162,10 +174,10 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
         }
         // Resident postings memory: the bit-packed block postings every
         // evaluator runs on, and the positional arenas kept only where
-        // `prox` needs them (zero for positions-free vendors). Static
-        // per index build, but exported per query so dashboards track
-        // it without a registration hook.
-        let footprint = engine.postings_footprint();
+        // `prox` needs them (zero for positions-free vendors). Measured
+        // once per index build; set per query so the gauges come back
+        // after a registry reset without a registration hook.
+        let footprint = source.postings_footprint();
         reg.gauge_with("engine.postings.positional_bytes", &labels)
             .set(footprint.positional_bytes as f64);
         reg.gauge_with("engine.postings.block_bytes", &labels)
@@ -538,6 +550,35 @@ mod tests {
         }];
         execute_traced(&s, &q, Some(&reg));
         assert_eq!(reg.snapshot().counter("engine.topk.full", &[]), 1);
+    }
+
+    #[test]
+    fn postings_gauges_report_the_build_time_footprint() {
+        let s = source();
+        let footprint = s.engine().postings_footprint();
+        assert_eq!(s.postings_footprint(), footprint);
+        assert!(footprint.block_bytes > 0);
+        let reg = Registry::default();
+        let labels = [("source", "Source-1")];
+        let q = query("", r#"list((body-of-text "databases"))"#);
+        for _ in 0..2 {
+            execute_traced(&s, &q, Some(&reg));
+            let snap = reg.snapshot();
+            assert_eq!(
+                snap.gauge("engine.postings.block_bytes", &labels),
+                footprint.block_bytes as f64
+            );
+            assert_eq!(
+                snap.gauge("engine.postings.positional_bytes", &labels),
+                footprint.positional_bytes as f64
+            );
+            // A reset drops the gauges; the next query sets them again.
+            reg.reset();
+            assert_eq!(
+                reg.snapshot().gauge("engine.postings.block_bytes", &labels),
+                0.0
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The [`Source`] type: one STARTS-conformant document source.
 
-use starts_index::{Document, ShardedEngine};
+use starts_index::{Document, PostingsFootprint, ShardedEngine};
 use starts_proto::metadata::SourceMetadata;
 use starts_proto::summary::ContentSummary;
 use starts_proto::{Query, QueryResults};
@@ -38,6 +38,9 @@ pub struct Source {
     engine: ShardedEngine,
     /// Metadata is immutable once built; assemble it eagerly.
     metadata: SourceMetadata,
+    /// The engine never changes after the build, so neither does its
+    /// postings memory: walked once here instead of on every query.
+    footprint: PostingsFootprint,
 }
 
 impl std::fmt::Debug for Source {
@@ -57,10 +60,12 @@ impl Source {
     pub fn build(config: SourceConfig, docs: &[Document]) -> Self {
         let engine = ShardedEngine::build(docs, config.engine.clone());
         let metadata = assemble_metadata(&config, &engine);
+        let footprint = engine.postings_footprint();
         Source {
             config,
             engine,
             metadata,
+            footprint,
         }
     }
 
@@ -83,6 +88,12 @@ impl Source {
     /// Number of documents.
     pub fn num_docs(&self) -> u32 {
         self.engine.n_docs()
+    }
+
+    /// The engine's postings memory, as
+    /// [`ShardedEngine::postings_footprint`] reported it at build time.
+    pub fn postings_footprint(&self) -> PostingsFootprint {
+        self.footprint
     }
 
     /// The exported `@SMetaAttributes` metadata (§4.3.1).

@@ -216,3 +216,45 @@ fn endpoint_replacement_is_atomic_under_concurrency() {
     });
     assert_eq!(flips.load(Ordering::Relaxed), 800);
 }
+
+#[test]
+fn hostile_max_number_documents_is_clamped_to_the_corpus() {
+    // The result cap comes off the wire and used to size the engine's
+    // top-k heap as is: `u64::MAX - 1` overflowed the capacity
+    // computation (a panic) and 2^40 aborted the host on allocation.
+    let net = SimNet::new();
+    let docs: Vec<Document> = (0..5)
+        .map(|i| {
+            Document::new()
+                .field("body-of-text", format!("databases item{i}"))
+                .field("linkage", format!("http://hostile/{i}"))
+        })
+        .collect();
+    let n_docs = docs.len();
+    let url = wire_source(
+        &net,
+        Source::build(SourceConfig::new("Hostile"), &docs),
+        LinkProfile::default(),
+    );
+    let client = StartsClient::new(&net);
+    let ask = |max_documents: usize| {
+        let mut query = Query {
+            ranking: Some(parse_ranking(r#"list((body-of-text "databases"))"#).unwrap()),
+            ..Query::default()
+        };
+        query.answer.max_documents = max_documents;
+        client.query(&url, &query).expect("the host answers")
+    };
+    let expected = ask(n_docs);
+    assert_eq!(expected.documents.len(), n_docs);
+    let clamped = |net: &SimNet| {
+        net.registry()
+            .snapshot()
+            .counter("source.request.clamped", &[("source", "Hostile")])
+    };
+    assert_eq!(clamped(&net), 0, "a cap equal to the corpus is not clamped");
+    for hostile in [18_446_744_073_709_551_614_usize, 1_099_511_627_776] {
+        assert_eq!(ask(hostile), expected, "MaxNumberDocuments: {hostile}");
+    }
+    assert_eq!(clamped(&net), 2);
+}

@@ -15,6 +15,7 @@ use starts::meta::catalog::Catalog;
 use starts::meta::merge::{Merger, NormalizedMerge};
 use starts::meta::metasearcher::{MetaConfig, Metasearcher};
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
+use starts::obs::MetricId;
 use starts::proto::{query::parse_ranking, Query};
 use starts::serve::{HedgeConfig, ServeConfig, ServeError, Served, Server, SourceStatus};
 use starts::source::{Source, SourceConfig};
@@ -46,6 +47,17 @@ fn wire(net: &SimNet, id: &str, words: &[&str], latency_ms: u32) {
             cost_per_query: 0.0,
         },
     );
+}
+
+/// Every `meta.dispatch.*` counter with its value.
+fn dispatch_counters(net: &SimNet) -> Vec<(MetricId, u64)> {
+    net.registry()
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|c| c.id.name.starts_with("meta.dispatch."))
+        .map(|c| (c.id, c.value))
+        .collect()
 }
 
 fn discover(net: &SimNet, ids: &[&str]) -> Catalog {
@@ -223,6 +235,7 @@ fn deadline_expiry_returns_prefix_consistent_partial_results() {
     let outcome = server
         .search(&ranked(r#"list((body-of-text "text"))"#))
         .unwrap();
+    let on_return = dispatch_counters(&net);
     net.set_pacing(0);
     let resp = &outcome.response;
     assert!(resp.partial, "deadline should have expired");
@@ -257,6 +270,10 @@ fn deadline_expiry_returns_prefix_consistent_partial_results() {
         snap.counter("meta.dispatch.failures", &[("source", "Slow")]),
         0
     );
+    // The response's counters were final when it was returned: the
+    // straggler, joined by the drop, added nothing afterwards.
+    drop(server);
+    assert_eq!(dispatch_counters(&net), on_return);
 }
 
 #[test]
@@ -291,6 +308,7 @@ fn hedged_dispatch_races_a_replica_and_cancels_the_loser() {
     let outcome = server
         .search(&ranked(r#"list((body-of-text "databases"))"#))
         .unwrap();
+    let on_return = dispatch_counters(&net);
     net.set_pacing(0);
     let resp = &outcome.response;
     // The replica's answer arrived long before the primary: the query
@@ -319,6 +337,10 @@ fn hedged_dispatch_races_a_replica_and_cancels_the_loser() {
         )
         .expect("hedge span recorded");
     assert_eq!(hedge_spans.count, 1);
+    // The losing primary, joined by the drop, changed no counter after
+    // the response was returned.
+    drop(server);
+    assert_eq!(dispatch_counters(&net), on_return);
 }
 
 #[test]
