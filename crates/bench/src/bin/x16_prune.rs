@@ -10,18 +10,12 @@
 //! threshold θ and whole blocks whose bound
 //! falls strictly below θ are jumped without ever being decoded —
 //! including through `and`/`or`/weighted operator *trees*, whose bound
-//! is propagated bottom-up per block. Under sharding θ is shared across
-//! shards through an atomic cell, so one shard's full heap tightens
-//! every other shard's bound check. The results are *bit-identical* to
-//! the unpruned path (enforced here by a spot check and exhaustively by
-//! `crates/index/tests/prune_properties.rs`).
+//! is propagated bottom-up per block. The results are *bit-identical*
+//! to the unpruned path (enforced here by a spot check and exhaustively
+//! by `crates/index/tests/prune_properties.rs`).
 //!
 //! Three workloads stress different skip regimes, each measured with
-//! `PruneMode::Auto` vs `PruneMode::Off` at requested shard counts 1
-//! and 4. Shard requests resolve under the default adaptive policy, so
-//! on a machine with fewer cores than shards the shards=4 rows build
-//! fewer physical shards instead of paying fan-out overhead — the two
-//! rows then measure the same engine, which is the point:
+//! `PruneMode::Auto` vs `PruneMode::Off`:
 //!
 //! * `zipf` — the X14 mix: 1–3 word flat lists, mostly common words,
 //!   sometimes a rare topic word (the historical baseline),
@@ -54,16 +48,11 @@ use starts_bench::{
 };
 use starts_corpus::{generate_corpus, CorpusConfig, GeneratedCorpus, Zipf};
 use starts_index::{
-    EngineConfig, PositionsMode, PruneMode, PruneReport, RankNode, SearchOptions, ShardedEngine,
-    TermSpec,
+    Engine, EngineConfig, PositionsMode, PruneMode, PruneReport, RankNode, SearchOptions, TermSpec,
 };
 
 /// Result-list bound for every query (the X14 regime).
 const K: usize = 10;
-
-/// Shard counts under measurement: the monolithic engine and a fan-out
-/// wide enough that threshold sharing matters.
-const SHARD_COUNTS: &[usize] = &[1, 4];
 
 fn main() {
     let args = BenchArgs::parse();
@@ -111,8 +100,7 @@ fn main() {
         n_queries
     );
 
-    let config = |shards: usize, prune: PruneMode| EngineConfig {
-        shards,
+    let config = |prune: PruneMode| EngineConfig {
         prune,
         ..EngineConfig::default()
     };
@@ -121,17 +109,17 @@ fn main() {
         ..SearchOptions::default()
     };
 
-    // Baseline for the exactness spot check: monolithic, unpruned.
-    let baseline = ShardedEngine::build(&docs, config(1, PruneMode::Off));
+    // Baseline for the exactness spot check: unpruned.
+    let baseline = Engine::build(&docs, config(PruneMode::Off));
     let footprint = baseline.postings_footprint();
     // The positions-free field class: the same corpus with the
     // positional store retired, so search runs off the bit-packed
     // blocks alone. Its footprint shows what a no-`prox` schema pays.
-    let no_positions = ShardedEngine::build(
+    let no_positions = Engine::build(
         &docs,
         EngineConfig {
             positions: PositionsMode::None,
-            ..config(1, PruneMode::Off)
+            ..config(PruneMode::Off)
         },
     );
     let footprint_none = no_positions.postings_footprint();
@@ -140,90 +128,79 @@ fn main() {
     let mut rows = Vec::new();
     let mut stats = Vec::new();
     for workload in &workloads {
-        for &shards in SHARD_COUNTS {
-            for prune in [PruneMode::Off, PruneMode::Auto] {
-                let engine = ShardedEngine::build(&docs, config(shards, prune));
+        for prune in [PruneMode::Off, PruneMode::Auto] {
+            let engine = Engine::build(&docs, config(prune));
 
-                // Exactness spot check on the first queries of the
-                // workload, and the prune tallies over all of them; the
-                // property suite covers exactness exhaustively.
-                let mut report = PruneReport::default();
-                for (i, node) in workload.queries.iter().enumerate() {
-                    let (hits, _, r) = engine.search_top_k_observed(None, Some(node), &opts);
-                    report.merge(&r);
-                    if i < 10 {
-                        assert_eq!(
-                            hits,
-                            baseline.search_top_k(None, Some(node), Some(K)),
-                            "pruned top-k diverged at workload={} shards={shards} \
-                             prune={prune:?}",
-                            workload.name
-                        );
-                    }
+            // Exactness spot check on the first queries of the
+            // workload, and the prune tallies over all of them; the
+            // property suite covers exactness exhaustively.
+            let mut report = PruneReport::default();
+            for (i, node) in workload.queries.iter().enumerate() {
+                let (hits, _, r) = engine.search_top_k_observed(None, Some(node), &opts);
+                report.merge(&r);
+                if i < 10 {
+                    assert_eq!(
+                        hits,
+                        baseline.search_top_k(None, Some(node), Some(K)),
+                        "pruned top-k diverged at workload={} prune={prune:?}",
+                        workload.name
+                    );
                 }
-                match prune {
-                    PruneMode::Auto => {
-                        assert!(
-                            report.skipped_docs > 0,
-                            "pruning never engaged on the {} workload: {report:?}",
-                            workload.name
-                        );
-                        // Whole-block jumps need lists spanning several
-                        // blocks; splitting the corpus across shards can
-                        // shrink every list under the 128-doc block size,
-                        // so the hard assertion is monolithic-only.
-                        if shards == 1 {
-                            assert!(
-                                report.blocks_skipped > 0,
-                                "no whole block was ever jumped on the {} workload: {report:?}",
-                                workload.name
-                            );
-                        }
-                    }
-                    PruneMode::Off => {
-                        assert_eq!(report.skipped_docs, 0);
-                        assert_eq!(report.blocks_skipped, 0);
-                    }
-                }
-                let pruned_fraction = if report.candidates > 0 {
-                    report.skipped_docs as f64 / report.candidates as f64
-                } else {
-                    0.0
-                };
-
-                let qs = measure(&workload.queries, |node| {
-                    engine
-                        .search_top_k_observed(None, Some(node), &opts)
-                        .0
-                        .len()
-                });
-                rows.push(vec![
-                    workload.name.to_string(),
-                    shards.to_string(),
-                    format!("{prune:?}"),
-                    format!("{:.0}", qs.qps),
-                    format!("{:.1}", qs.p50_us),
-                    format!("{:.1}", qs.p95_us),
-                    format!("{:.1}", qs.p99_us),
-                    format!("{:.1}%", pruned_fraction * 100.0),
-                    report.blocks_skipped.to_string(),
-                ]);
-                stats.push(PruneStats {
-                    workload: workload.name,
-                    shards,
-                    prune,
-                    qs,
-                    pruned_fraction,
-                    report,
-                });
             }
+            match prune {
+                PruneMode::Auto => {
+                    assert!(
+                        report.skipped_docs > 0,
+                        "pruning never engaged on the {} workload: {report:?}",
+                        workload.name
+                    );
+                    assert!(
+                        report.blocks_skipped > 0,
+                        "no whole block was ever jumped on the {} workload: {report:?}",
+                        workload.name
+                    );
+                }
+                PruneMode::Off => {
+                    assert_eq!(report.skipped_docs, 0);
+                    assert_eq!(report.blocks_skipped, 0);
+                }
+            }
+            let pruned_fraction = if report.candidates > 0 {
+                report.skipped_docs as f64 / report.candidates as f64
+            } else {
+                0.0
+            };
+
+            let qs = measure(&workload.queries, |node| {
+                engine
+                    .search_top_k_observed(None, Some(node), &opts)
+                    .0
+                    .len()
+            });
+            rows.push(vec![
+                workload.name.to_string(),
+                format!("{prune:?}"),
+                format!("{:.0}", qs.qps),
+                format!("{:.1}", qs.p50_us),
+                format!("{:.1}", qs.p95_us),
+                format!("{:.1}", qs.p99_us),
+                format!("{:.1}%", pruned_fraction * 100.0),
+                report.blocks_skipped.to_string(),
+            ]);
+            stats.push(PruneStats {
+                workload: workload.name,
+                prune,
+                qs,
+                pruned_fraction,
+                report,
+            });
         }
     }
 
-    section("query latency: pruned vs unpruned per workload and shard count");
+    section("query latency: pruned vs unpruned per workload");
     print_table(
         &[
-            "workload", "shards", "prune", "QPS", "p50 µs", "p95 µs", "p99 µs", "pruned", "blocks",
+            "workload", "prune", "QPS", "p50 µs", "p95 µs", "p99 µs", "pruned", "blocks",
         ],
         &rows,
     );
@@ -231,10 +208,9 @@ fn main() {
     for pair in stats.chunks(2) {
         let (off, auto) = (&pair[0], &pair[1]);
         println!(
-            "{} shards={}: prune {:.2}x QPS vs off ({:.0} -> {:.0}), \
+            "{}: prune {:.2}x QPS vs off ({:.0} -> {:.0}), \
              {:.1}% of candidate postings skipped, {} blocks jumped undecoded",
             auto.workload,
-            auto.shards,
             auto.qs.qps / off.qs.qps.max(1e-9),
             off.qs.qps,
             auto.qs.qps,
@@ -276,7 +252,6 @@ struct Workload {
 /// Per-configuration measurements.
 struct PruneStats {
     workload: &'static str,
-    shards: usize,
     prune: PruneMode,
     qs: QueryStats,
     pruned_fraction: f64,
@@ -429,13 +404,12 @@ fn render_json(
         .iter()
         .map(|s| {
             format!(
-                "    {{\"workload\": \"{}\", \"shards\": {}, \"prune\": \"{:?}\", \
+                "    {{\"workload\": \"{}\", \"prune\": \"{:?}\", \
                  \"qps\": {:.1}, \
                  \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \
                  \"pruned_fraction\": {:.4}, \"skipped_docs\": {}, \"candidates\": {}, \
                  \"blocks_skipped\": {}}}",
                 s.workload,
-                s.shards,
                 s.prune,
                 s.qs.qps,
                 s.qs.p50_us,
@@ -450,11 +424,7 @@ fn render_json(
         .collect();
     let note = provenance_note(
         parallelism,
-        "explicit shard requests resolve adaptively at build time (capped by \
-         machine parallelism and corpus size), so a shards=4 row on a narrow \
-         machine builds fewer physical shards instead of paying fan-out \
-         overhead; postings_bytes_no_positions is the positions-free field \
-         class (blocks only)",
+        "postings_bytes_no_positions is the positions-free field class (blocks only)",
     );
     format!(
         "{{\n  \"bench\": \"x16_prune\",\n  \

@@ -31,7 +31,7 @@ use starts_bench::{
     standard_corpus, BenchArgs,
 };
 use starts_index::blocks::{unpack_bits, unpack_bits_scalar};
-use starts_index::{EngineConfig, ShardedEngine};
+use starts_index::{Engine, EngineConfig};
 
 /// Every bit width worth a row: the dense low widths real doc-gap and
 /// tf sections land on, the byte-aligned widths the AVX2 kernel
@@ -105,7 +105,7 @@ fn main() {
     // query evaluation decodes it.
     let corpus = standard_corpus();
     let docs = corpus.all_docs();
-    let engine = ShardedEngine::build(&docs, EngineConfig::default());
+    let engine = Engine::build(&docs, EngineConfig::default());
     let streaming = decode_mints_per_s(&engine, if smoke { 0.2 } else { 1.0 });
     section("streaming decode (full lists, prefix sums and iterator included)");
     println!(

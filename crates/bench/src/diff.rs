@@ -1,8 +1,8 @@
 //! The perf-regression gate behind the `bench_diff` binary.
 //!
 //! Compares a freshly-generated bench JSON artifact against a
-//! checked-in baseline (`BENCH_hotpath.json` / `BENCH_shard.json` /
-//! `BENCH_prune.json`). The comparison is **provenance-aware**: raw
+//! checked-in baseline (`BENCH_hotpath.json` / `BENCH_prune.json` /
+//! …). The comparison is **provenance-aware**: raw
 //! QPS numbers only mean something when both runs came from the same
 //! kind of machine doing the same kind of run, so
 //!
@@ -14,10 +14,8 @@
 //!   run alone: every `qps` and `decode_mints_per_s` must be positive,
 //!   `engine_speedup` must not dip below 1, pruning rows marked
 //!   `"prune": "Auto"` must actually prune (`pruned_fraction > 0`),
-//!   and monolithic (`"shards": 1`) Auto rows that report
-//!   `blocks_skipped` must have jumped at least one whole block
-//!   undecoded (sharding can shrink every posting list under the block
-//!   size, so multi-shard rows are exempt).
+//!   and every Auto row that reports `blocks_skipped` must have jumped
+//!   at least one whole block undecoded.
 //!
 //! Postings memory is gated in **both** modes: byte counts under a
 //! `postings_bytes*` object are machine-independent, so whenever both
@@ -262,16 +260,12 @@ fn auto_prune_fractions(j: &Json) -> Vec<(String, f64)> {
     out
 }
 
-/// `blocks_skipped` of every monolithic (`"shards": 1`) object
-/// configured with `"prune": "Auto"` that reports the field. Block-Max
-/// WAND must jump whole blocks there; multi-shard rows may legitimately
-/// report zero when the per-shard lists fit in a single block.
+/// `blocks_skipped` of every object configured with `"prune": "Auto"`
+/// that reports the field: Block-Max WAND must jump whole blocks there.
 fn auto_block_skips(j: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     walk_objects(j, "", &mut |path, obj| {
-        if obj.get("prune").and_then(Json::str_) == Some("Auto")
-            && obj.get("shards").and_then(Json::num) == Some(1.0)
-        {
+        if obj.get("prune").and_then(Json::str_) == Some("Auto") {
             if let Some(blocks) = obj.get("blocks_skipped").and_then(Json::num) {
                 out.push((path.to_string(), blocks));
             }
@@ -367,9 +361,8 @@ mod tests {
         }
     }
 
-    const ARTIFACTS: [&str; 6] = [
+    const ARTIFACTS: [&str; 5] = [
         include_str!("../../../BENCH_hotpath.json"),
-        include_str!("../../../BENCH_shard.json"),
         include_str!("../../../BENCH_prune.json"),
         include_str!("../../../BENCH_monitor.json"),
         include_str!("../../../BENCH_concurrency.json"),
@@ -406,7 +399,7 @@ mod tests {
 
     #[test]
     fn small_wobble_passes_the_gate() {
-        let baseline = artifact(ARTIFACTS[2]);
+        let baseline = artifact(ARTIFACTS[1]);
         let mut current = baseline.clone();
         scale_qps(&mut current, 0.95); // 5% slower: within tolerance
         let report = diff(&baseline, &current, DEFAULT_QPS_TOLERANCE).expect("diff");
@@ -417,7 +410,7 @@ mod tests {
     fn a_looser_tolerance_admits_a_bigger_drop() {
         // The same 22% drop that fails the default gate passes when the
         // caller opts into `--tolerance 0.30` (noisy shared runners).
-        let baseline = artifact(ARTIFACTS[3]);
+        let baseline = artifact(ARTIFACTS[2]);
         let mut current = baseline.clone();
         scale_qps(&mut current, 0.78);
         let strict = diff(&baseline, &current, DEFAULT_QPS_TOLERANCE).expect("diff");
@@ -428,7 +421,7 @@ mod tests {
 
     #[test]
     fn different_provenance_degrades_to_invariants() {
-        let baseline = artifact(ARTIFACTS[2]);
+        let baseline = artifact(ARTIFACTS[1]);
         let mut current = baseline.clone();
         set_top(&mut current, "machine_parallelism", Json::Num(64.0));
         scale_qps(&mut current, 0.5); // huge drop, but incomparable machines
@@ -438,53 +431,53 @@ mod tests {
 
         // ... but broken invariants still fail: a non-pruning Auto row.
         let mut broken = current.clone();
-        if let Json::Obj(members) = &mut broken {
-            if let Some((_, Json::Arr(configs))) = members.iter_mut().find(|(k, _)| k == "configs")
-            {
-                for cfg in configs.iter_mut() {
-                    if cfg.get("prune").and_then(Json::str_) == Some("Auto") {
-                        set_top(cfg, "pruned_fraction", Json::Num(0.0));
-                    }
-                }
+        for cfg in configs_mut(&mut broken) {
+            if cfg.get("prune").and_then(Json::str_) == Some("Auto") {
+                set_top(cfg, "pruned_fraction", Json::Num(0.0));
             }
         }
         let report = diff(&baseline, &broken, DEFAULT_QPS_TOLERANCE).expect("diff");
         assert!(!report.passed(), "{}", report.render());
     }
 
+    /// The `configs` rows of an artifact.
+    fn configs_mut(j: &mut Json) -> &mut Vec<Json> {
+        match j {
+            Json::Obj(members) => match members.iter_mut().find(|(k, _)| k == "configs") {
+                Some((_, Json::Arr(configs))) => configs,
+                _ => panic!("artifact has no configs array"),
+            },
+            _ => panic!("artifact is not an object"),
+        }
+    }
+
     #[test]
-    fn monolithic_auto_rows_must_skip_blocks() {
-        let baseline = artifact(ARTIFACTS[2]);
+    fn every_auto_row_must_skip_blocks() {
+        let baseline = artifact(ARTIFACTS[1]);
         let mut current = baseline.clone();
         set_top(&mut current, "machine_parallelism", Json::Num(64.0));
-        // Zero out blocks_skipped everywhere: only the shards=1 Auto
-        // rows should trip the gate — multi-shard rows may have lists
-        // too short to span multiple blocks.
-        let mut zeroed_multi_only = current.clone();
-        for (j, multi_only) in [(&mut current, false), (&mut zeroed_multi_only, true)] {
-            if let Json::Obj(members) = j {
-                if let Some((_, Json::Arr(configs))) =
-                    members.iter_mut().find(|(k, _)| k == "configs")
-                {
-                    for cfg in configs.iter_mut() {
-                        let shards = cfg.get("shards").and_then(Json::num);
-                        if !multi_only || shards != Some(1.0) {
-                            set_top(cfg, "blocks_skipped", Json::Num(0.0));
-                        }
-                    }
-                }
-            }
-        }
         let report = diff(&baseline, &current, DEFAULT_QPS_TOLERANCE).expect("diff");
         assert!(!report.comparable);
-        assert!(!report.passed(), "{}", report.render());
-        let report = diff(&baseline, &zeroed_multi_only, DEFAULT_QPS_TOLERANCE).expect("diff");
         assert!(report.passed(), "{}", report.render());
+        // Zeroing blocks_skipped on any one Auto row trips the gate.
+        let mut auto_rows = 0;
+        for i in 0..configs_mut(&mut current).len() {
+            let mut broken = current.clone();
+            let row = &mut configs_mut(&mut broken)[i];
+            if row.get("prune").and_then(Json::str_) != Some("Auto") {
+                continue;
+            }
+            auto_rows += 1;
+            set_top(row, "blocks_skipped", Json::Num(0.0));
+            let report = diff(&baseline, &broken, DEFAULT_QPS_TOLERANCE).expect("diff");
+            assert!(!report.passed(), "row {i}: {}", report.render());
+        }
+        assert!(auto_rows > 0);
     }
 
     #[test]
     fn decode_throughput_regression_fails_the_gate() {
-        let baseline = artifact(ARTIFACTS[5]);
+        let baseline = artifact(ARTIFACTS[4]);
         let mut current = baseline.clone();
         scale_field(&mut current, "decode_mints_per_s", 0.78); // 22% slower codec
         let report = diff(&baseline, &current, DEFAULT_QPS_TOLERANCE).expect("diff");
@@ -498,7 +491,7 @@ mod tests {
 
     #[test]
     fn memory_growth_fails_the_gate_in_both_modes() {
-        let baseline = artifact(ARTIFACTS[2]);
+        let baseline = artifact(ARTIFACTS[1]);
 
         // 20% postings growth on the same machine: QPS untouched, but
         // the footprint ceiling trips.

@@ -259,7 +259,6 @@ mod tests {
     fn real_artifacts_parse() {
         for text in [
             include_str!("../../../BENCH_hotpath.json"),
-            include_str!("../../../BENCH_shard.json"),
             include_str!("../../../BENCH_prune.json"),
         ] {
             let j = Json::parse(text).expect("checked-in artifact parses");

@@ -165,27 +165,23 @@ impl BenchArgs {
 }
 
 /// One full streaming pass over every postings list in the engine —
-/// every shard, the any-field union plus each concrete field — through
-/// the block decoder. Returns (ints decoded, checksum): each posting
-/// decodes to two u32s (doc-id and tf), and the checksum keeps the
-/// decode loop from being optimized away.
-pub fn decode_pass(engine: &starts_index::ShardedEngine) -> (u64, u64) {
+/// the any-field union plus each concrete field — through the block
+/// decoder. Returns (ints decoded, checksum): each posting decodes to
+/// two u32s (doc-id and tf), and the checksum keeps the decode loop
+/// from being optimized away.
+pub fn decode_pass(engine: &starts_index::Engine) -> (u64, u64) {
     let mut ints = 0u64;
     let mut sum = 0u64;
-    for shard in engine.shards() {
-        let index = shard.index();
-        let fields: Vec<_> = std::iter::once(starts_index::ANY_FIELD)
-            .chain(index.schema().concrete_fields())
-            .collect();
-        for field in fields {
-            for (_, postings) in index.field_vocabulary(field) {
-                for (doc, tf) in postings.docs_tfs() {
-                    sum = sum
-                        .wrapping_add(u64::from(doc.0))
-                        .wrapping_add(u64::from(tf));
-                }
-                ints += 2 * postings.len() as u64;
+    let index = engine.index();
+    let fields = std::iter::once(starts_index::ANY_FIELD).chain(index.schema().concrete_fields());
+    for field in fields {
+        for (_, postings) in index.field_vocabulary(field) {
+            for (doc, tf) in postings.docs_tfs() {
+                sum = sum
+                    .wrapping_add(u64::from(doc.0))
+                    .wrapping_add(u64::from(tf));
             }
+            ints += 2 * postings.len() as u64;
         }
     }
     (ints, sum)
@@ -195,7 +191,7 @@ pub fn decode_pass(engine: &starts_index::ShardedEngine) -> (u64, u64) {
 /// repeatedly stream the whole index through the decoder (see
 /// [`decode_pass`]) until at least `min_secs` of wall time has
 /// accumulated; one untimed pass warms the cache.
-pub fn decode_mints_per_s(engine: &starts_index::ShardedEngine, min_secs: f64) -> f64 {
+pub fn decode_mints_per_s(engine: &starts_index::Engine, min_secs: f64) -> f64 {
     std::hint::black_box(decode_pass(engine));
     let mut ints = 0u64;
     let mut sum = 0u64;

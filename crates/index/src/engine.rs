@@ -6,8 +6,7 @@
 //! executed query was — is what the STARTS source layer
 //! (`starts-source`) wraps and exports.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
 use starts_text::{Analyzer, AnalyzerConfig, Thesaurus};
 
@@ -15,13 +14,13 @@ use crate::blocks::{BlockCursor, BlockPostings, BLOCK_DOCS};
 use crate::boolean::{difference, intersect, prox_match, union, BoolNode};
 use crate::doc::{DocId, Document};
 use crate::index::{
-    Index, IndexBuilder, PositionsMode, PostingsIter, PostingsList, TermBound, TermBounds,
+    Index, IndexBuilder, PositionsMode, PostingsFootprint, PostingsIter, PostingsList, TermBound,
+    TermBounds,
 };
 use crate::matchspec::{CmpOp, TermSpec};
 use crate::ranking::{PreparedWeight, RankingAlgorithm, TermDocStats};
-use crate::schema::{FieldId, ANY_FIELD};
-use crate::sharded::CollectionStats;
-use crate::topk::{kway_union, SharedThreshold, TopK};
+use crate::schema::{FieldId, Schema, ANY_FIELD};
+use crate::topk::{kway_union, TopK};
 
 /// A ranking-expression tree at the engine level. Leaves carry the
 /// query-assigned weight (§4.1.1: "Each term in a ranking expression may
@@ -182,23 +181,6 @@ pub struct EngineConfig {
     pub fuzzy_ranking_ops: bool,
     /// The engine's thesaurus (for the `Thesaurus` modifier).
     pub thesaurus: Thesaurus,
-    /// Shard count for [`crate::ShardedEngine`]: how many partitions the
-    /// document set is split into for parallel index build and query
-    /// fan-out. `0` (the default) resolves adaptively — the machine's
-    /// available parallelism capped by corpus size (at least
-    /// [`crate::sharded::MIN_DOCS_PER_AUTO_SHARD`] documents per shard),
-    /// so 1-core containers and small corpora never pay fan-out
-    /// overhead; `1` reproduces the monolithic single-threaded
-    /// behaviour; explicit `N ≥ 1` is an upper bound under the default
-    /// [`ShardPolicy::Adaptive`] and honoured exactly under
-    /// [`ShardPolicy::Exact`] (always clamped to the document count).
-    /// Results are bit-identical at every setting — global collection
-    /// statistics are broadcast to each shard. Ignored by the plain
-    /// [`Engine`] constructors.
-    pub shards: usize,
-    /// How literally [`EngineConfig::shards`] is honoured (see
-    /// [`ShardPolicy`]).
-    pub shard_policy: ShardPolicy,
     /// Dynamic pruning of the ranked top-k path (see [`PruneMode`]).
     pub prune: PruneMode,
     /// Whether the index keeps the positional store (see
@@ -218,33 +200,10 @@ impl Default for EngineConfig {
             ranking_id: "Acme-1".to_string(),
             fuzzy_ranking_ops: true,
             thesaurus: Thesaurus::empty(),
-            shards: 0,
-            shard_policy: ShardPolicy::Adaptive,
             prune: PruneMode::Auto,
             positions: PositionsMode::All,
         }
     }
-}
-
-/// How literally [`EngineConfig::shards`] is honoured by
-/// [`crate::ShardedEngine::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// An explicit shard count is an *upper bound*: the effective count
-    /// is additionally capped by the machine's available parallelism
-    /// and by the block-span floor
-    /// ([`crate::sharded::MIN_DOCS_PER_AUTO_SHARD`] documents per
-    /// shard), so a 1-core container stops paying query fan-out for
-    /// parallelism it does not have, and shards never shrink below the
-    /// size where Block-Max skipping still has whole blocks to skip.
-    /// Results stay bit-identical at every effective count, so the
-    /// only observable difference is speed.
-    #[default]
-    Adaptive,
-    /// The requested count is built exactly (clamped only to the
-    /// document count) — for tests and benchmarks that must construct a
-    /// specific physical layout regardless of the machine they run on.
-    Exact,
 }
 
 /// A complete, queryable engine.
@@ -254,11 +213,6 @@ pub struct Engine {
     fuzzy_ranking_ops: bool,
     thesaurus: Thesaurus,
     doc_norms: Vec<f64>,
-    /// Present when this engine is one shard of a [`crate::ShardedEngine`]:
-    /// global statistics (df, N, average length) that replace the local
-    /// index's, so each shard scores exactly as the monolithic engine
-    /// would.
-    collection: Option<Arc<CollectionStats>>,
     prune: PruneMode,
     /// The dynamic-pruning sidecar (present iff `prune` is `Auto`):
     /// per-(field, term) extrema of the exact term weights scoring can
@@ -293,32 +247,15 @@ impl Engine {
 
     /// Wrap an already-built index.
     pub fn from_index(index: Index, config: EngineConfig) -> Self {
-        Self::from_index_with_stats(index, config, None)
-    }
-
-    /// Wrap an index that is one shard of a sharded collection: every
-    /// statistic a ranking algorithm consumes (df, N, average document
-    /// length, and the doc norms derived from them) comes from the global
-    /// `collection` instead of the local shard.
-    pub(crate) fn from_index_with_stats(
-        index: Index,
-        config: EngineConfig,
-        collection: Option<Arc<CollectionStats>>,
-    ) -> Self {
         let ranking = crate::ranking::ranking_by_id(&config.ranking_id)
             .unwrap_or_else(|| panic!("unknown RankingAlgorithmID {:?}", config.ranking_id));
         let doc_norms = if ranking.needs_doc_norms() {
-            compute_doc_norms(&index, ranking.as_ref(), collection.as_deref())
+            compute_doc_norms(&index, ranking.as_ref())
         } else {
             vec![1.0; index.n_docs() as usize]
         };
         let bounds = match config.prune {
-            PruneMode::Auto => Some(compute_term_bounds(
-                &index,
-                ranking.as_ref(),
-                collection.as_deref(),
-                &doc_norms,
-            )),
+            PruneMode::Auto => Some(compute_term_bounds(&index, ranking.as_ref(), &doc_norms)),
             PruneMode::Off => None,
         };
         Engine {
@@ -327,7 +264,6 @@ impl Engine {
             fuzzy_ranking_ops: config.fuzzy_ranking_ops,
             thesaurus: config.thesaurus,
             doc_norms,
-            collection,
             prune: config.prune,
             bounds,
         }
@@ -336,6 +272,28 @@ impl Engine {
     /// The underlying index.
     pub fn index(&self) -> &Index {
         &self.index
+    }
+
+    /// The index's text analyzer.
+    pub fn analyzer(&self) -> &Analyzer {
+        self.index.analyzer()
+    }
+
+    /// The index's field schema.
+    pub fn schema(&self) -> &Schema {
+        self.index.schema()
+    }
+
+    /// First stored value of the named field for a document.
+    pub fn doc_field(&self, doc: DocId, field: FieldId) -> Option<&str> {
+        self.index.doc_field(doc, field)
+    }
+
+    /// Memory held by the postings representations: the bit-packed
+    /// block postings search runs on, plus any positional arena kept
+    /// for `prox` evaluation.
+    pub fn postings_footprint(&self) -> PostingsFootprint {
+        self.index.postings_footprint()
     }
 
     /// The ranking algorithm.
@@ -378,59 +336,75 @@ impl Engine {
         ranking: Option<&RankNode>,
         limit: Option<usize>,
     ) -> Vec<Hit> {
-        self.search_top_k_hooked(filter, ranking, limit, &PruneHooks::NONE)
+        let mut report = PruneReport::default();
+        self.search_with_floor(filter, ranking, limit, f64::NEG_INFINITY, &mut report)
     }
 
-    /// [`Engine::search_top_k`] with the query-scoped pruning context: a
-    /// raw-score floor seeded from `min-doc-score`, the cross-shard
-    /// shared threshold, and the telemetry counters.
-    pub(crate) fn search_top_k_hooked(
+    /// [`Engine::search_top_k`] with the full pruning surface: an
+    /// optional `min-doc-score` floor seed, the search's elapsed
+    /// microseconds, and the query's [`PruneReport`]. Hits at or above
+    /// `opts.min_score` are never dropped; callers still apply their own
+    /// final `min-doc-score` retention.
+    pub fn search_top_k_observed(
+        &self,
+        filter: Option<&BoolNode>,
+        ranking: Option<&RankNode>,
+        opts: &SearchOptions,
+    ) -> (Vec<Hit>, u64, PruneReport) {
+        // Seed the raw-score floor only when the ranking algorithm can
+        // soundly translate the post-finalize threshold back to raw
+        // scores (the §3.2 max-rescaling vendor cannot).
+        let floor = match ranking {
+            Some(_) if opts.min_score.is_finite() => self
+                .ranking
+                .raw_score_floor(opts.min_score)
+                .unwrap_or(f64::NEG_INFINITY),
+            _ => f64::NEG_INFINITY,
+        };
+        let mut report = PruneReport::default();
+        let start = Instant::now();
+        let hits = self.search_with_floor(filter, ranking, opts.limit, floor, &mut report);
+        let elapsed_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        (hits, elapsed_us, report)
+    }
+
+    /// [`Engine::search_top_k`] with a raw-score floor seeding the
+    /// ranked selection, tallying pruning work into `report`.
+    fn search_with_floor(
         &self,
         filter: Option<&BoolNode>,
         ranking: Option<&RankNode>,
         limit: Option<usize>,
-        hooks: &PruneHooks<'_>,
+        floor: f64,
+        report: &mut PruneReport,
     ) -> Vec<Hit> {
-        match (filter, ranking) {
-            (None, None) => Vec::new(),
+        let mut scores = match (filter, ranking) {
+            (None, None) => return Vec::new(),
             (Some(f), None) => {
                 let mut docs = self.eval_filter(f);
                 if let Some(k) = limit {
                     docs.truncate(k);
                 }
-                docs.into_iter()
+                return docs
+                    .into_iter()
                     .map(|doc| Hit { doc, score: None })
-                    .collect()
+                    .collect();
             }
-            (None, Some(r)) => {
-                let mut scores = self.eval_ranking_top_k_raw(r, limit, hooks);
-                self.ranking.finalize(&mut scores);
-                scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scores
-                    .into_iter()
-                    .map(|(doc, score)| Hit {
-                        doc,
-                        score: Some(score),
-                    })
-                    .collect()
-            }
-            (Some(f), Some(r)) => {
-                let mut scores = self.eval_filter_ranked_raw(f, r, limit, hooks);
-                // As in `eval_ranking_top_k`: `finalize` rescales
-                // monotonically, so selecting on raw scores first and
-                // finalizing the selected slice equals finalizing the
-                // whole filter set then truncating.
-                self.ranking.finalize(&mut scores);
-                scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scores
-                    .into_iter()
-                    .map(|(doc, score)| Hit {
-                        doc,
-                        score: Some(score),
-                    })
-                    .collect()
-            }
-        }
+            (None, Some(r)) => self.eval_ranking_top_k_raw(r, limit, floor, report),
+            (Some(f), Some(r)) => self.eval_filter_ranked_raw(f, r, limit, floor),
+        };
+        // `finalize` rescales monotonically, so selecting on raw scores
+        // first and finalizing the selected slice equals finalizing the
+        // whole candidate set then truncating.
+        self.ranking.finalize(&mut scores);
+        scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        scores
+            .into_iter()
+            .map(|(doc, score)| Hit {
+                doc,
+                score: Some(score),
+            })
+            .collect()
     }
 
     /// The combined filter+ranking evaluation up to (but not including)
@@ -438,14 +412,13 @@ impl Engine {
     /// membership, so there is no reason to evaluate the ranking
     /// expression over its own (often much larger) candidate set.
     /// Zero-scoring docs stay in. Returns raw scores sorted by (score
-    /// desc, doc asc), at most `limit` of them. Shards combine these raw
-    /// lists before the single global `finalize`.
-    pub(crate) fn eval_filter_ranked_raw(
+    /// desc, doc asc), at most `limit` of them.
+    fn eval_filter_ranked_raw(
         &self,
         filter: &BoolNode,
         ranking: &RankNode,
         limit: Option<usize>,
-        hooks: &PruneHooks<'_>,
+        floor: f64,
     ) -> Vec<(DocId, f64)> {
         let set = self.eval_filter(filter);
         let slots = self.score_set(ranking, &set);
@@ -453,7 +426,7 @@ impl Engine {
             Some(k) => {
                 // The floor seeds the heap: docs below `min-doc-score`
                 // are never held, so the heap threshold starts tight.
-                let mut top = TopK::with_floor(k, hooks.floor);
+                let mut top = TopK::with_floor(k, floor);
                 for (doc, score) in set.into_iter().zip(slots) {
                     top.push(doc, score);
                 }
@@ -497,7 +470,8 @@ impl Engine {
     /// best `k` documents are selected by a bounded heap; the result is
     /// exactly the first `k` entries of the unbounded evaluation.
     pub fn eval_ranking_top_k(&self, node: &RankNode, limit: Option<usize>) -> Vec<(DocId, f64)> {
-        let mut scores = self.eval_ranking_top_k_raw(node, limit, &PruneHooks::NONE);
+        let mut report = PruneReport::default();
+        let mut scores = self.eval_ranking_top_k_raw(node, limit, f64::NEG_INFINITY, &mut report);
         // `finalize` rescales monotonically (the §3.2 vendor pins its
         // top hit to 1000); the global maximum is always inside the top
         // k, so finalizing the selected slice equals finalizing
@@ -508,14 +482,15 @@ impl Engine {
     }
 
     /// [`Engine::eval_ranking_top_k`] stopping short of `finalize`: the
-    /// best `limit` positive raw scores, sorted by (score desc, doc asc).
-    /// The sharded fan-out merges these per-shard lists and applies the
-    /// single global `finalize` afterwards.
-    pub(crate) fn eval_ranking_top_k_raw(
+    /// best `limit` positive raw scores at or above `floor`, sorted by
+    /// (score desc, doc asc), with the pruning work tallied into
+    /// `report`.
+    fn eval_ranking_top_k_raw(
         &self,
         node: &RankNode,
         limit: Option<usize>,
-        hooks: &PruneHooks<'_>,
+        floor: f64,
+        report: &mut PruneReport,
     ) -> Vec<(DocId, f64)> {
         let effective;
         let node = if self.fuzzy_ranking_ops {
@@ -528,20 +503,17 @@ impl Engine {
         self.resolve_leaves(node, &mut leaves);
         if let Some(k) = limit {
             if self.prune == PruneMode::Auto && bmw_eligible(node, &leaves) {
-                return self.eval_ranking_bmw(node, &leaves, k, hooks);
+                return self.eval_ranking_bmw(node, &leaves, k, floor, report);
             }
         }
         let candidates = candidate_docs(&leaves);
-        if let Some(c) = hooks.counters {
-            c.candidates
-                .fetch_add(candidates.len() as u64, Ordering::Relaxed);
-        }
+        report.candidates += candidates.len() as u64;
         let mut cursor = 0;
         let mut tf_scratch = Vec::new();
         let slots = self.score_tree(node, &candidates, &leaves, &mut cursor, &mut tf_scratch);
         match limit {
             Some(k) => {
-                let mut top = TopK::with_floor(k, hooks.floor);
+                let mut top = TopK::with_floor(k, floor);
                 for (&doc, &score) in candidates.iter().zip(&slots) {
                     if score > 0.0 {
                         top.push(doc, score);
@@ -570,11 +542,9 @@ impl Engine {
     /// * a document (or block of documents) is skipped only when its tree
     ///   score upper bound is strictly below θ — and θ is either the
     ///   seeded raw-score floor (the floored heap rejects such docs
-    ///   anyway), the local heap floor once the heap holds `k` entries (a
+    ///   anyway) or the heap floor once the heap holds `k` entries (a
     ///   doc strictly below it can never displace an entry: ties break
-    ///   toward the smaller doc ids already held), or another shard's
-    ///   published heap floor (then `k` strictly better docs exist
-    ///   elsewhere in the collection);
+    ///   toward the smaller doc ids already held);
     /// * the tree bound is computed by [`bmw_tree_bound`], which runs the
     ///   *same* float expression in the *same* accumulation order as the
     ///   exact evaluator with each leaf value replaced by a dominating
@@ -596,7 +566,8 @@ impl Engine {
         node: &RankNode,
         leaves: &[LeafCtx<'_>],
         k: usize,
-        hooks: &PruneHooks<'_>,
+        floor: f64,
+        report: &mut PruneReport,
     ) -> Vec<(DocId, f64)> {
         let n = leaves.len();
         let mut cursors: Vec<Option<BlockCursor<'_>>> = leaves
@@ -610,7 +581,7 @@ impl Engine {
             .iter()
             .map(|c| c.as_ref().map_or(0, |c| c.len()))
             .sum();
-        let mut top = TopK::with_floor(k, hooks.floor);
+        let mut top = TopK::with_floor(k, floor);
         let mut theta = top.threshold();
         let mut threshold_updates = 0u64;
         let mut ub = vec![0.0_f64; n];
@@ -691,12 +662,6 @@ impl Engine {
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by_key(|&i| docs[i]);
         loop {
-            if let Some(shared) = hooks.shared {
-                let global = shared.get();
-                if global > theta {
-                    theta = global;
-                }
-            }
             if order.is_empty() || docs[order[0]] == u32::MAX {
                 break;
             }
@@ -765,7 +730,6 @@ impl Engine {
                             &mut top,
                             &mut theta,
                             &mut threshold_updates,
-                            hooks.shared,
                         );
                         docs[i] = c.doc();
                         repair_frontier_order(&mut order, &docs);
@@ -817,9 +781,6 @@ impl Engine {
                     if floor > theta {
                         theta = floor;
                         threshold_updates += 1;
-                        if let Some(shared) = hooks.shared {
-                            shared.raise(floor);
-                        }
                     }
                 }
                 for &i in &order[..prefix_end] {
@@ -870,28 +831,22 @@ impl Engine {
                 repair_frontier_order(&mut order, &docs);
             }
         }
-        if let Some(c) = hooks.counters {
-            let visited: u64 = cursors.iter().flatten().map(BlockCursor::visited).sum();
-            let blocks_skipped: u64 = cursors
-                .iter()
-                .flatten()
-                .map(BlockCursor::blocks_skipped)
-                .sum();
-            // BMW accounting is postings-grained: `candidates` is every
-            // posting entering evaluation, and a "skipped doc" is a
-            // posting the cursors never rested on — each one an avoided
-            // `term_weight` computation. The unpruned fallback keeps the
-            // older union-of-candidates granularity.
-            c.candidates.fetch_add(total_postings, Ordering::Relaxed);
-            c.skipped_docs
-                .fetch_add(total_postings - visited, Ordering::Relaxed);
-            c.skipped_leaves
-                .fetch_add(total_postings - visited, Ordering::Relaxed);
-            c.blocks_skipped
-                .fetch_add(blocks_skipped, Ordering::Relaxed);
-            c.threshold_updates
-                .fetch_add(threshold_updates, Ordering::Relaxed);
-        }
+        let visited: u64 = cursors.iter().flatten().map(BlockCursor::visited).sum();
+        let blocks_skipped: u64 = cursors
+            .iter()
+            .flatten()
+            .map(BlockCursor::blocks_skipped)
+            .sum();
+        // BMW accounting is postings-grained: `candidates` is every
+        // posting entering evaluation, and a "skipped doc" is a posting
+        // the cursors never rested on — each one an avoided
+        // `term_weight` computation. The unpruned fallback keeps the
+        // older union-of-candidates granularity.
+        report.candidates += total_postings;
+        report.skipped_docs += total_postings - visited;
+        report.skipped_leaves += total_postings - visited;
+        report.blocks_skipped += blocks_skipped;
+        report.threshold_updates += threshold_updates;
         top.into_sorted_vec()
     }
 
@@ -919,7 +874,6 @@ impl Engine {
         top: &mut TopK,
         theta: &mut f64,
         threshold_updates: &mut u64,
-        shared: Option<&SharedThreshold>,
     ) {
         while c.doc() < stop {
             let block_ub = (leaf_weight * c.block_max_score()).max(0.0);
@@ -945,9 +899,6 @@ impl Engine {
                     if floor > *theta {
                         *theta = floor;
                         *threshold_updates += 1;
-                        if let Some(shared) = shared {
-                            shared.raise(floor);
-                        }
                     }
                 }
             }
@@ -1010,9 +961,6 @@ impl Engine {
     }
 
     /// Resolve a spec to the set of index-vocabulary terms it matches.
-    /// When this engine is a shard, resolution runs against the *global*
-    /// vocabulary: a key another shard indexed still contributes its
-    /// (global) document frequency to this shard's scoring.
     fn resolve_keys(&self, field: FieldId, spec: &TermSpec) -> Vec<String> {
         let cfg = self.index.analyzer().config();
         if spec.needs_scan(cfg.stem, cfg.case) {
@@ -1020,19 +968,12 @@ impl Engine {
             // When the engine stems its index, compare against stems of
             // the query term too (normalize first).
             let query = &spec.term;
-            let mut keys: Vec<String> = match &self.collection {
-                Some(c) => c
-                    .field_terms(field)
-                    .filter(|(vocab, _)| pred(query, vocab))
-                    .map(|(vocab, _)| vocab.to_string())
-                    .collect(),
-                None => self
-                    .index
-                    .field_vocabulary(field)
-                    .filter(|(vocab, _)| pred(query, vocab))
-                    .map(|(vocab, _)| vocab.to_string())
-                    .collect(),
-            };
+            let mut keys: Vec<String> = self
+                .index
+                .field_vocabulary(field)
+                .filter(|(vocab, _)| pred(query, vocab))
+                .map(|(vocab, _)| vocab.to_string())
+                .collect();
             keys.sort_unstable();
             keys
         } else if spec.has(crate::matchspec::TermMatch::Thesaurus) {
@@ -1056,21 +997,9 @@ impl Engine {
         }
     }
 
-    /// Whether the (field, term) pair exists anywhere in the collection —
-    /// globally when this engine is a shard, else locally.
+    /// Whether the (field, term) pair is indexed.
     fn has_term(&self, field: FieldId, term: &str) -> bool {
-        match &self.collection {
-            Some(c) => c.contains(field, term),
-            None => self.index.postings(field, term).is_some(),
-        }
-    }
-
-    /// Document frequency of an index key — global when sharded.
-    fn df_of(&self, field: FieldId, key: &str) -> u32 {
-        match &self.collection {
-            Some(c) => c.df(field, key),
-            None => self.index.df(field, key),
-        }
+        self.index.postings(field, term).is_some()
     }
 
     /// Docs matching a term spec (sorted).
@@ -1170,7 +1099,7 @@ impl Engine {
         let mut tf = 0;
         let mut df = 0;
         for key in keys {
-            df = df.max(self.df_of(field, key));
+            df = df.max(self.index.df(field, key));
             if let Some(postings) = self.index.postings(field, key) {
                 tf += postings.tf_of(doc);
             }
@@ -1178,23 +1107,13 @@ impl Engine {
         (tf, df)
     }
 
-    /// The (document count, mean document length) pair every
-    /// [`TermDocStats`] carries: the calibrated collection-wide view
-    /// when one is installed, this index's own otherwise.
-    fn collection_counts(&self) -> (u32, f64) {
-        match &self.collection {
-            Some(c) => (c.n_docs(), c.avg_doc_tokens()),
-            None => (self.index.n_docs(), self.index.avg_doc_tokens()),
-        }
-    }
-
     /// Fold the per-(term, collection) constants of the ranking
     /// algorithm for a leaf with document frequency `df`, or `None`
     /// when the algorithm doesn't support folding and scoring must go
     /// through [`RankingAlgorithm::term_weight`].
     fn prepare_leaf(&self, df: u32) -> Option<PreparedWeight> {
-        let (n_docs, avg_tokens) = self.collection_counts();
-        self.ranking.prepare(df, n_docs, avg_tokens)
+        self.ranking
+            .prepare(df, self.index.n_docs(), self.index.avg_doc_tokens())
     }
 
     /// One leaf's term weight for one document: the folded-constant
@@ -1214,13 +1133,12 @@ impl Engine {
     }
 
     fn stats_for(&self, doc: DocId, tf: u32, df: u32) -> TermDocStats {
-        let (n_docs, avg_tokens) = self.collection_counts();
         TermDocStats {
             tf,
             df,
-            n_docs,
+            n_docs: self.index.n_docs(),
             doc_tokens: self.index.doc_token_count(doc),
-            avg_tokens,
+            avg_tokens: self.index.avg_doc_tokens(),
             doc_norm: self.doc_norms[doc.0 as usize],
         }
     }
@@ -1250,7 +1168,7 @@ impl Engine {
                 if let Some(field) = self.resolve_field(spec) {
                     for key in self.resolve_keys(field, spec) {
                         n_keys += 1;
-                        ctx.df = ctx.df.max(self.df_of(field, &key));
+                        ctx.df = ctx.df.max(self.index.df(field, &key));
                         if let Some(postings) = self.index.postings(field, &key) {
                             ctx.postings.push(postings);
                         }
@@ -1635,8 +1553,7 @@ struct LeafCtx<'a> {
     block_max: &'a [f64],
 }
 
-/// Aggregate pruning telemetry for one query evaluation (summed across
-/// every shard of a [`crate::ShardedEngine`]).
+/// Aggregate pruning telemetry for one query evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneReport {
     /// Work entering ranked evaluation: on the Block-Max-WAND path the
@@ -1657,8 +1574,7 @@ pub struct PruneReport {
 }
 
 impl PruneReport {
-    /// Fold another report into this one (aggregation across queries or
-    /// shards).
+    /// Fold another report into this one (aggregation across queries).
     pub fn merge(&mut self, other: &PruneReport) {
         self.candidates += other.candidates;
         self.skipped_docs += other.skipped_docs;
@@ -1668,49 +1584,27 @@ impl PruneReport {
     }
 }
 
-/// Shared atomic tallies behind a [`PruneReport`] — written once per
-/// shard evaluation, snapshotted once per query.
-#[derive(Debug, Default)]
-pub(crate) struct PruneCounters {
-    pub(crate) candidates: AtomicU64,
-    pub(crate) skipped_docs: AtomicU64,
-    pub(crate) skipped_leaves: AtomicU64,
-    pub(crate) blocks_skipped: AtomicU64,
-    pub(crate) threshold_updates: AtomicU64,
+/// Options for [`Engine::search_top_k_observed`].
+#[derive(Debug, Clone, Copy)]
+pub struct SearchOptions {
+    /// Keep only the best `limit` hits (`None` = unbounded).
+    pub limit: Option<usize>,
+    /// The `min-doc-score` answer threshold, on the post-`finalize`
+    /// score scale. Finite values seed the ranked selection floor when
+    /// the ranking algorithm can map them to raw scores
+    /// ([`RankingAlgorithm::raw_score_floor`]); hits at or above the
+    /// threshold are never dropped, hits below it may or may not be —
+    /// callers still apply the final retention.
+    pub min_score: f64,
 }
 
-impl PruneCounters {
-    /// Snapshot the tallies.
-    pub(crate) fn report(&self) -> PruneReport {
-        PruneReport {
-            candidates: self.candidates.load(Ordering::Relaxed),
-            skipped_docs: self.skipped_docs.load(Ordering::Relaxed),
-            skipped_leaves: self.skipped_leaves.load(Ordering::Relaxed),
-            blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
-            threshold_updates: self.threshold_updates.load(Ordering::Relaxed),
+impl Default for SearchOptions {
+    fn default() -> Self {
+        SearchOptions {
+            limit: None,
+            min_score: f64::NEG_INFINITY,
         }
     }
-}
-
-/// Query-scoped pruning context threaded through the raw evaluators: a
-/// raw-score floor (seeded from `min-doc-score` when the ranking
-/// algorithm allows it), the cross-shard shared threshold cell, and the
-/// telemetry counters.
-#[derive(Clone, Copy)]
-pub(crate) struct PruneHooks<'a> {
-    pub(crate) floor: f64,
-    pub(crate) shared: Option<&'a SharedThreshold>,
-    pub(crate) counters: Option<&'a PruneCounters>,
-}
-
-impl PruneHooks<'_> {
-    /// No floor, no sharing, no counting — the behaviour of the public
-    /// unhooked entry points.
-    pub(crate) const NONE: PruneHooks<'static> = PruneHooks {
-        floor: f64::NEG_INFINITY,
-        shared: None,
-        counters: None,
-    };
 }
 
 /// Decide whether `node` (already flattened when the engine ignores
@@ -1919,26 +1813,20 @@ fn bmw_tree_exact(
 
 /// Record, per (field, term) key, the float max/min of the exact term
 /// weights query-time scoring can produce for that key: the same
-/// `term_weight` over the same [`TermDocStats`] (global df/N/avg when
-/// sharded, this engine's doc norms) the evaluators compute. Because
+/// `term_weight` over the same [`TermDocStats`] (this engine's df, N,
+/// average length and doc norms) the evaluators compute. Because
 /// each recorded max is a float max over identical float values, a
 /// leaf's upper bound holds exactly — no epsilon at the leaf level.
 fn compute_term_bounds(
     index: &Index,
     ranking: &dyn RankingAlgorithm,
-    collection: Option<&CollectionStats>,
     doc_norms: &[f64],
 ) -> TermBounds {
-    let (n_docs, avg_tokens) = match collection {
-        Some(c) => (c.n_docs(), c.avg_doc_tokens()),
-        None => (index.n_docs(), index.avg_doc_tokens()),
-    };
+    let (n_docs, avg_tokens) = (index.n_docs(), index.avg_doc_tokens());
     let mut out = TermBounds::default();
-    for (field, tid, term, postings) in index.all_postings() {
-        let df = match collection {
-            Some(c) => c.df(field, term),
-            None => postings.len() as u32,
-        };
+    for (field, tid, postings) in index.all_postings() {
+        let df = postings.len() as u32;
+        let prepared = ranking.prepare(df, n_docs, avg_tokens);
         let mut max = f64::NEG_INFINITY;
         let mut min = f64::INFINITY;
         // Per-block maxima ride along in the same pass, chunked exactly
@@ -1957,7 +1845,7 @@ fn compute_term_bounds(
                 avg_tokens,
                 doc_norm: doc_norms[doc.0 as usize],
             };
-            let w = ranking.term_weight(&st);
+            let w = posting_weight(ranking, prepared.as_ref(), &st);
             // `total_cmp` extrema: a NaN weight poisons the envelope
             // (it sorts above +inf / below -inf), correctly disabling
             // pruning for the key.
@@ -2029,27 +1917,17 @@ fn leaf_weight(node: &RankNode) -> f64 {
     }
 }
 
-fn compute_doc_norms(
-    index: &Index,
-    ranking: &dyn RankingAlgorithm,
-    collection: Option<&CollectionStats>,
-) -> Vec<f64> {
+fn compute_doc_norms(index: &Index, ranking: &dyn RankingAlgorithm) -> Vec<f64> {
     let mut sq = vec![0.0_f64; index.n_docs() as usize];
-    let (n_docs, avg) = match collection {
-        Some(c) => (c.n_docs(), c.avg_doc_tokens()),
-        None => (index.n_docs(), index.avg_doc_tokens()),
-    };
-    // Accumulate in sorted term order: each document then sums its
-    // squared term weights in the same sequence whether the index is
-    // monolithic or one shard of many, making the floating-point norms
-    // (and thus every downstream score) bit-identical across shardings.
+    let (n_docs, avg) = (index.n_docs(), index.avg_doc_tokens());
+    // Accumulate in sorted term order: the vocabulary iterates in hash
+    // order, and a fixed summation sequence keeps the floating-point
+    // norms (and thus every downstream score) identical across builds.
     let mut vocab: Vec<(&str, &PostingsList)> = index.field_vocabulary(ANY_FIELD).collect();
     vocab.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    for (term, postings) in vocab {
-        let df = match collection {
-            Some(c) => c.df(ANY_FIELD, term),
-            None => postings.len() as u32,
-        };
+    for (_, postings) in vocab {
+        let df = postings.len() as u32;
+        let prepared = ranking.prepare(df, n_docs, avg);
         for (doc, tf) in postings.docs_tfs() {
             let st = TermDocStats {
                 tf,
@@ -2057,13 +1935,29 @@ fn compute_doc_norms(
                 n_docs,
                 doc_tokens: index.doc_token_count(doc),
                 avg_tokens: avg,
+                // The norm is built from the un-normalized weights.
                 doc_norm: 1.0,
             };
-            let w = ranking.unnormalized_weight(&st);
+            let w = posting_weight(ranking, prepared.as_ref(), &st);
             sq[doc.0 as usize] += w * w;
         }
     }
     sq.into_iter().map(f64::sqrt).collect()
+}
+
+/// One posting's exact term weight, through the algorithm's folded
+/// per-term constants when it has them (bit-identical to
+/// [`RankingAlgorithm::term_weight`], see [`PreparedWeight`], and free
+/// of the per-posting `ln` calls that dominate an index build).
+fn posting_weight(
+    ranking: &dyn RankingAlgorithm,
+    prepared: Option<&PreparedWeight>,
+    st: &TermDocStats,
+) -> f64 {
+    match prepared {
+        Some(p) => p.weight(st.tf, st.doc_tokens, st.doc_norm),
+        None => ranking.term_weight(st),
+    }
 }
 
 #[cfg(test)]

@@ -224,12 +224,10 @@ pub(crate) struct TermBound {
 
 /// Per-`(field, term)` extrema of the ranking algorithm's term weights
 /// over one index's postings — the build-time sidecar behind the
-/// engine's dynamic pruning (see `docs/performance.md`). For a shard of
-/// a sharded collection the weights are computed against the *global*
-/// collection statistics, so each recorded maximum is the float max of
-/// exactly the weight values query-time scoring can produce for that
-/// key on this shard; a leaf's upper bound therefore holds without any
-/// epsilon.
+/// engine's dynamic pruning (see `docs/performance.md`). Each recorded
+/// maximum is the float max of exactly the weight values query-time
+/// scoring can produce for that key, so a leaf's upper bound holds
+/// without any epsilon.
 #[derive(Debug, Default)]
 pub struct TermBounds {
     bounds: HashMap<(FieldId, TermId), TermBound>,
@@ -281,17 +279,6 @@ pub struct PostingsFootprint {
     pub block_bytes: u64,
 }
 
-impl PostingsFootprint {
-    /// Fold another footprint into this one (shard aggregation).
-    pub fn merge(&mut self, other: &PostingsFootprint) {
-        self.lists += other.lists;
-        self.positional_lists += other.positional_lists;
-        self.postings += other.postings;
-        self.positional_bytes += other.positional_bytes;
-        self.block_bytes += other.block_bytes;
-    }
-}
-
 /// An immutable, fully-built index.
 #[derive(Debug)]
 pub struct Index {
@@ -307,14 +294,13 @@ pub struct Index {
     positions_stored: bool,
 }
 
-/// Build-time accumulation for one posting list: columnar doc/tf plus
+/// Build-time accumulation for one posting list: `(doc, tf)` pairs plus
 /// the flat position stream (empty under [`PositionsMode::None`]).
 /// Documents arrive in increasing order and positions in increasing
 /// order within a document, so everything is append-only.
 #[derive(Debug, Default)]
 struct ScratchList {
-    docs: Vec<u32>,
-    tfs: Vec<u32>,
+    postings: Vec<(u32, u32)>,
     positions: Vec<u32>,
 }
 
@@ -322,7 +308,10 @@ struct ScratchList {
 #[derive(Debug)]
 pub struct IndexBuilder {
     inner: Index,
-    scratch: HashMap<(FieldId, TermId), ScratchList>,
+    /// Accumulating posting lists, indexed by term id and then keyed by
+    /// field: a term occurs in a handful of fields at most, so a short
+    /// scan beats hashing the key on every token.
+    scratch: Vec<Vec<(FieldId, ScratchList)>>,
     store_positions: bool,
 }
 
@@ -330,17 +319,9 @@ impl IndexBuilder {
     /// Start building with the engine's analyzer (the source's whole text
     /// pipeline: tokenizer, case mode, stemming, stop list).
     pub fn new(analyzer: Analyzer) -> Self {
-        IndexBuilder::with_schema(analyzer, Schema::new())
-    }
-
-    /// Start building with a pre-interned schema. Shard builders use this
-    /// so that every shard of a [`crate::ShardedEngine`] assigns the same
-    /// `FieldId` to the same field name, letting per-shard statistics be
-    /// merged by id.
-    pub fn with_schema(analyzer: Analyzer, schema: Schema) -> Self {
         IndexBuilder {
             inner: Index {
-                schema,
+                schema: Schema::new(),
                 analyzer,
                 terms: Vec::new(),
                 vocab: HashMap::new(),
@@ -350,7 +331,7 @@ impl IndexBuilder {
                 field_langs: HashMap::new(),
                 positions_stored: true,
             },
-            scratch: HashMap::new(),
+            scratch: Vec::new(),
             store_positions: true,
         }
     }
@@ -395,16 +376,14 @@ impl IndexBuilder {
                 max_pos = max_pos.max(*position);
                 token_count += 1;
                 let tid = intern_term(&mut idx.vocab, &mut idx.terms, term);
+                if self.scratch.len() <= tid.0 as usize {
+                    self.scratch.resize_with(tid.0 as usize + 1, Vec::new);
+                }
+                let lists = &mut self.scratch[tid.0 as usize];
+                push_position(lists, fid, doc_id, fbase + position, self.store_positions);
                 push_position(
-                    &mut self.scratch,
-                    (fid, tid),
-                    doc_id,
-                    fbase + position,
-                    self.store_positions,
-                );
-                push_position(
-                    &mut self.scratch,
-                    (ANY_FIELD, tid),
+                    lists,
+                    ANY_FIELD,
                     doc_id,
                     global_base + position,
                     self.store_positions,
@@ -430,22 +409,22 @@ impl IndexBuilder {
     /// [`PositionsMode::None`].
     pub fn build(self) -> Index {
         let mut index = self.inner;
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (key, scratch) in self.scratch {
-            pairs.clear();
-            pairs.extend(
-                scratch
-                    .docs
-                    .iter()
-                    .copied()
-                    .zip(scratch.tfs.iter().copied()),
-            );
-            let blocks = BlockPostings::encode(&pairs);
+        let lists = self
+            .scratch
+            .into_iter()
+            .enumerate()
+            .flat_map(|(tid, lists)| {
+                lists
+                    .into_iter()
+                    .map(move |(fid, list)| ((fid, TermId(tid as u32)), list))
+            });
+        for (key, scratch) in lists {
+            let blocks = BlockPostings::encode(&scratch.postings);
             let positions = self.store_positions.then(|| {
-                let mut offsets = Vec::with_capacity(scratch.tfs.len() + 1);
+                let mut offsets = Vec::with_capacity(scratch.postings.len() + 1);
                 let mut acc = 0u32;
                 offsets.push(0);
-                for &tf in &scratch.tfs {
+                for &(_, tf) in &scratch.postings {
                     acc = acc
                         .checked_add(tf)
                         .expect("position arena longer than the u32 offset space");
@@ -475,19 +454,22 @@ fn intern_term(vocab: &mut HashMap<String, TermId>, terms: &mut Vec<String>, ter
 }
 
 fn push_position(
-    scratch: &mut HashMap<(FieldId, TermId), ScratchList>,
-    key: (FieldId, TermId),
+    lists: &mut Vec<(FieldId, ScratchList)>,
+    field: FieldId,
     doc: DocId,
     position: u32,
     store_positions: bool,
 ) {
-    let list = scratch.entry(key).or_default();
-    match list.docs.last() {
-        Some(&last) if last == doc.0 => *list.tfs.last_mut().unwrap() += 1,
-        _ => {
-            list.docs.push(doc.0);
-            list.tfs.push(1);
+    let list = match lists.iter().position(|(f, _)| *f == field) {
+        Some(i) => &mut lists[i].1,
+        None => {
+            lists.push((field, ScratchList::default()));
+            &mut lists.last_mut().expect("just pushed").1
         }
+    };
+    match list.postings.last_mut() {
+        Some((last, tf)) if *last == doc.0 => *tf += 1,
+        _ => list.postings.push((doc.0, 1)),
     }
     if store_positions {
         list.positions.push(position);
@@ -608,16 +590,15 @@ impl Index {
         (0..self.docs.len() as u32).map(DocId)
     }
 
-    /// Every `(field, term id, term, postings)` tuple in the index, in
-    /// arbitrary order — the raw feed for merging per-shard document
-    /// frequencies into global collection statistics and for building
-    /// the [`TermBounds`] pruning sidecar.
+    /// Every `(field, term id, postings)` tuple in the index, in
+    /// arbitrary order — the raw feed for building the [`TermBounds`]
+    /// pruning sidecar.
     pub(crate) fn all_postings(
         &self,
-    ) -> impl Iterator<Item = (FieldId, TermId, &str, &PostingsList)> + '_ {
+    ) -> impl Iterator<Item = (FieldId, TermId, &PostingsList)> + '_ {
         self.postings
             .iter()
-            .map(|((fid, tid), list)| (*fid, *tid, self.terms[tid.0 as usize].as_str(), list))
+            .map(|((fid, tid), list)| (*fid, *tid, list))
     }
 
     /// The interned id of an index-normalized term, if present.
@@ -802,7 +783,7 @@ mod tests {
     #[test]
     fn blocks_agree_with_iteration_and_find() {
         let idx = small_index();
-        for (field, tid, _, list) in idx.all_postings() {
+        for (field, tid, list) in idx.all_postings() {
             assert_eq!(idx.postings_by_id(field, tid).unwrap().len(), list.len());
             let mut cursor = crate::blocks::BlockCursor::new(list.blocks());
             for (doc, tf) in list.docs_tfs() {

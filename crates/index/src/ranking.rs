@@ -187,14 +187,6 @@ pub trait RankingAlgorithm: Send + Sync {
         None
     }
 
-    /// Raw (un-normalized) weight used when accumulating document norms;
-    /// defaults to `term_weight` with norm 1.
-    fn unnormalized_weight(&self, st: &TermDocStats) -> f64 {
-        let mut st = *st;
-        st.doc_norm = 1.0;
-        self.term_weight(&st)
-    }
-
     /// Whether document norms must be precomputed (cosine-style).
     fn needs_doc_norms(&self) -> bool {
         false
@@ -552,7 +544,7 @@ mod tests {
     fn cosine_norm_divides() {
         let a = TfIdfCosine;
         let mut st = stats(4, 10, 1000);
-        let unnorm = a.unnormalized_weight(&st);
+        let unnorm = a.term_weight(&st);
         st.doc_norm = 2.0;
         assert!((a.term_weight(&st) - unnorm / 2.0).abs() < 1e-12);
     }

@@ -15,7 +15,6 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicU64;
 
 use crate::doc::DocId;
 
@@ -134,87 +133,6 @@ impl TopK {
     }
 }
 
-/// A monotonically rising score threshold shared across concurrently
-/// searching shards: an `AtomicU64` holding `f64` bits. Each shard
-/// publishes its heap floor as it rises; any shard's Block-Max-WAND
-/// loop may then skip a document — or a whole posting block — whose
-/// score upper bound is *strictly* below the cell's value, because `k`
-/// strictly better documents already exist somewhere in the
-/// collection. Only values that compare greater under
-/// plain `f64` ordering land in the cell (NaN never does), so the
-/// threshold can only tighten.
-#[derive(Debug)]
-pub struct SharedThreshold(AtomicU64);
-
-impl SharedThreshold {
-    /// A cell starting at `initial` (use `f64::NEG_INFINITY` for "no
-    /// threshold yet").
-    pub fn new(initial: f64) -> Self {
-        SharedThreshold(AtomicU64::new(initial.to_bits()))
-    }
-
-    /// The current threshold.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// Raise the threshold to `value` if it is strictly higher; lower,
-    /// equal, or NaN values leave the cell untouched.
-    pub fn raise(&self, value: f64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mut cur = self.0.load(Relaxed);
-        while value > f64::from_bits(cur) {
-            match self
-                .0
-                .compare_exchange_weak(cur, value.to_bits(), Relaxed, Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-/// Merge per-shard ranked lists — each already sorted by (score
-/// descending via [`f64::total_cmp`], doc id ascending) — into one list
-/// under the same order, keeping at most `limit` entries when bounded.
-///
-/// This is the exact-merge step of the sharded fan-out: a bounded k-way
-/// heap merge over the list heads, `O(total log s)` for `s` lists, that
-/// reproduces precisely the prefix a global sort of the concatenation
-/// would have produced.
-pub fn merge_ranked(lists: Vec<Vec<(DocId, f64)>>, limit: Option<usize>) -> Vec<(DocId, f64)> {
-    let mut lists = lists;
-    if lists.len() == 1 {
-        let mut only = lists.pop().expect("one list");
-        if let Some(k) = limit {
-            only.truncate(k);
-        }
-        return only;
-    }
-    let total: usize = lists.iter().map(Vec::len).sum();
-    let cap = limit.map_or(total, |k| k.min(total));
-    let mut heads: Vec<std::vec::IntoIter<(DocId, f64)>> =
-        lists.into_iter().map(Vec::into_iter).collect();
-    // Max-heap on (Entry, list): pops best-placed entry first; the list
-    // index tie-break is unreachable because doc ids are globally unique.
-    let mut heap: BinaryHeap<(Entry, usize)> = BinaryHeap::with_capacity(heads.len());
-    for (i, stream) in heads.iter_mut().enumerate() {
-        if let Some((doc, score)) = stream.next() {
-            heap.push((Entry { score, doc }, i));
-        }
-    }
-    let mut out = Vec::with_capacity(cap);
-    while out.len() < cap {
-        let Some((entry, i)) = heap.pop() else { break };
-        out.push((entry.doc, entry.score));
-        if let Some((doc, score)) = heads[i].next() {
-            heap.push((Entry { score, doc }, i));
-        }
-    }
-    out
-}
-
 /// Merge any number of sorted (ascending) doc-id streams into one
 /// sorted, deduplicated vector — the candidate set of a ranking
 /// expression, built in one pass over all posting lists.
@@ -287,36 +205,6 @@ mod tests {
         let kept = top.into_sorted_vec();
         assert_eq!(kept[0].0, DocId(0));
         assert_eq!(kept[1].0, DocId(2));
-    }
-
-    #[test]
-    fn merge_ranked_matches_global_sort() {
-        let a = vec![(DocId(1), 0.9), (DocId(0), 0.5), (DocId(2), 0.5)];
-        let b = vec![(DocId(4), 0.9), (DocId(3), 0.7)];
-        let c: Vec<(DocId, f64)> = Vec::new();
-        let all: Vec<(DocId, f64)> = a.iter().chain(&b).chain(&c).copied().collect();
-        for k in 0..=all.len() + 1 {
-            let merged = merge_ranked(vec![a.clone(), b.clone(), c.clone()], Some(k));
-            let mut expect = all.clone();
-            expect.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-            expect.truncate(k);
-            assert_eq!(merged, expect, "k={k}");
-        }
-        let unbounded = merge_ranked(vec![a.clone(), b.clone()], None);
-        assert_eq!(unbounded.len(), 5);
-        assert_eq!(unbounded[0], (DocId(1), 0.9));
-        assert_eq!(unbounded[1], (DocId(4), 0.9));
-    }
-
-    #[test]
-    fn merge_ranked_single_list_truncates() {
-        let a = vec![(DocId(0), 0.9), (DocId(1), 0.1)];
-        assert_eq!(
-            merge_ranked(vec![a.clone()], Some(1)),
-            vec![(DocId(0), 0.9)]
-        );
-        assert_eq!(merge_ranked(vec![a.clone()], None), a);
-        assert!(merge_ranked(Vec::new(), Some(3)).is_empty());
     }
 
     #[test]

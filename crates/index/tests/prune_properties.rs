@@ -5,13 +5,12 @@
 //! term lists, for the and/or/weighted/prox operator trees BMW prunes
 //! *through* (prox via its positions-ignored over-estimate; survivors
 //! still run the exact positional check), and for arbitrary
-//! expressions, across shard counts {1, 2, 3, 7} and
-//! k ∈ {1, 10, > corpus}.
+//! expressions, for k ∈ {1, 10, > corpus}.
 
 use proptest::prelude::*;
 use starts_index::{
     BoolNode, Document, Engine, EngineConfig, PositionsMode, PruneMode, RankNode, SearchOptions,
-    ShardPolicy, ShardedEngine, TermSpec,
+    TermSpec,
 };
 
 /// The same tiny closed vocabulary the other property suites use, so
@@ -19,10 +18,6 @@ use starts_index::{
 const VOCAB: &[&str] = &[
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
 ];
-
-/// Shard counts exercised: 1 (monolithic delegation), 2, 3 (uneven
-/// split), 7 (more shards than hits per shard).
-const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7];
 
 fn arb_doc() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0..VOCAB.len(), 1..25)
@@ -111,14 +106,10 @@ fn arb_ranking_id() -> impl Strategy<Value = &'static str> {
     ]
 }
 
-fn config(ranking_id: &str, prune: PruneMode, shards: usize) -> EngineConfig {
+fn config(ranking_id: &str, prune: PruneMode) -> EngineConfig {
     EngineConfig {
         ranking_id: ranking_id.to_string(),
         fuzzy_ranking_ops: true,
-        shards,
-        // The properties quantify over physical shard counts — build
-        // exactly what the strategy drew, whatever machine runs CI.
-        shard_policy: ShardPolicy::Exact,
         prune,
         ..EngineConfig::default()
     }
@@ -143,7 +134,7 @@ fn pruner_engages_on_skewed_corpus() {
     for _ in 0..9 {
         docs.push(Document::new().field("body-of-text", "alpha"));
     }
-    let engine = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Auto, 1));
+    let engine = Engine::build(&docs, config("Plain-1", PruneMode::Auto));
     let expr = RankNode::List(vec![
         RankNode::term(TermSpec::fielded("body-of-text", "alpha")),
         RankNode::term(TermSpec::fielded("body-of-text", "omega")),
@@ -178,7 +169,7 @@ fn block_max_wand_skips_blocks() {
         let body = if d == 0 || d == 650 { heavy } else { "alpha" };
         docs.push(Document::new().field("body-of-text", body));
     }
-    let engine = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Auto, 1));
+    let engine = Engine::build(&docs, config("Plain-1", PruneMode::Auto));
     let expr = RankNode::List(vec![
         RankNode::term(TermSpec::fielded("body-of-text", "alpha")),
         RankNode::term(TermSpec::fielded("body-of-text", "omega")),
@@ -200,7 +191,7 @@ fn block_max_wand_skips_blocks() {
     assert!(report.skipped_docs > 600, "{report:?}");
     assert!(report.candidates >= 700, "{report:?}");
     // Skipping must not have changed the answer.
-    let off = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Off, 1));
+    let off = Engine::build(&docs, config("Plain-1", PruneMode::Off));
     let (expect, _, off_report) = off.search_top_k_observed(None, Some(&expr), &opts);
     assert_eq!(hits, expect);
     assert_eq!(off_report.blocks_skipped, 0, "{off_report:?}");
@@ -234,7 +225,7 @@ fn bmw_prunes_through_prox() {
         limit: Some(1),
         min_score: f64::NEG_INFINITY,
     };
-    let auto = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Auto, 1));
+    let auto = Engine::build(&docs, config("Plain-1", PruneMode::Auto));
     let (hits, _, report) = auto.search_top_k_observed(None, Some(&expr), &opts);
     assert_eq!(hits.len(), 1);
     // Docs 0 and 650 tie; the smaller doc id wins.
@@ -244,7 +235,7 @@ fn bmw_prunes_through_prox() {
         "prox tree fell back to the exact scan: {report:?}"
     );
     // Skipping through the over-estimate must not change the answer.
-    let off = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Off, 1));
+    let off = Engine::build(&docs, config("Plain-1", PruneMode::Off));
     let (expect, _, _) = off.search_top_k_observed(None, Some(&expr), &opts);
     assert_eq!(hits, expect);
 }
@@ -259,7 +250,7 @@ proptest! {
         expr in arb_flat_list(),
         ranking_id in arb_ranking_id(),
     ) {
-        let engine = Engine::build(&docs, config(ranking_id, PruneMode::Auto, 1));
+        let engine = Engine::build(&docs, config(ranking_id, PruneMode::Auto));
         let full = engine.eval_ranking_naive(&expr);
         for k in limits(docs.len()) {
             let bounded = engine.eval_ranking_top_k(&expr, Some(k));
@@ -278,7 +269,7 @@ proptest! {
         expr in arb_bmw_tree(),
         ranking_id in arb_ranking_id(),
     ) {
-        let engine = Engine::build(&docs, config(ranking_id, PruneMode::Auto, 1));
+        let engine = Engine::build(&docs, config(ranking_id, PruneMode::Auto));
         let full = engine.eval_ranking_naive(&expr);
         for k in limits(docs.len()) {
             let bounded = engine.eval_ranking_top_k(&expr, Some(k));
@@ -286,22 +277,20 @@ proptest! {
         }
     }
 
-    /// Block-max sharded fan-out on operator trees ≡ the monolithic
-    /// engine with pruning off, at every shard count and k regime.
+    /// Block-max search on operator trees ≡ the engine with pruning
+    /// off, at every k regime.
     #[test]
-    fn bmw_tree_sharded_equals_unpruned_monolithic(
+    fn bmw_tree_search_equals_unpruned(
         docs in arb_corpus(),
         expr in arb_bmw_tree(),
         ranking_id in arb_ranking_id(),
     ) {
-        let mono = Engine::build(&docs, config(ranking_id, PruneMode::Off, 1));
-        for &shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Auto, shards));
-            for k in limits(docs.len()) {
-                let expect = mono.search_top_k(None, Some(&expr), Some(k));
-                let got = sharded.search_top_k(None, Some(&expr), Some(k));
-                prop_assert_eq!(got, expect, "shards={} k={}", shards, k);
-            }
+        let off = Engine::build(&docs, config(ranking_id, PruneMode::Off));
+        let auto = Engine::build(&docs, config(ranking_id, PruneMode::Auto));
+        for k in limits(docs.len()) {
+            let expect = off.search_top_k(None, Some(&expr), Some(k));
+            let got = auto.search_top_k(None, Some(&expr), Some(k));
+            prop_assert_eq!(got, expect, "k={}", k);
         }
     }
 
@@ -317,42 +306,39 @@ proptest! {
         ranking_id in arb_ranking_id(),
         k in 0usize..25,
     ) {
-        let auto = Engine::build(&docs, config(ranking_id, PruneMode::Auto, 1));
-        let off = Engine::build(&docs, config(ranking_id, PruneMode::Off, 1));
+        let auto = Engine::build(&docs, config(ranking_id, PruneMode::Auto));
+        let off = Engine::build(&docs, config(ranking_id, PruneMode::Off));
         prop_assert_eq!(
             auto.eval_ranking_top_k(&expr, Some(k)),
             off.eval_ranking_top_k(&expr, Some(k))
         );
     }
 
-    /// Pruned sharded fan-out (threshold shared across shards) ≡ the
-    /// monolithic engine with pruning off, in every query mode, at
-    /// every shard count.
+    /// Pruned search ≡ the engine with pruning off, in every query
+    /// mode.
     #[test]
-    fn pruned_sharded_equals_unpruned_monolithic(
+    fn pruned_search_equals_unpruned_in_every_mode(
         docs in arb_corpus(),
         filter_term in 0..VOCAB.len(),
         expr in arb_flat_list(),
         ranking_id in arb_ranking_id(),
     ) {
-        let mono = Engine::build(&docs, config(ranking_id, PruneMode::Off, 1));
+        let off = Engine::build(&docs, config(ranking_id, PruneMode::Off));
+        let auto = Engine::build(&docs, config(ranking_id, PruneMode::Auto));
         let filter = BoolNode::Term(TermSpec::any(VOCAB[filter_term]));
-        for &shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Auto, shards));
-            for (f, r) in [
-                (Some(&filter), None),
-                (None, Some(&expr)),
-                (Some(&filter), Some(&expr)),
-            ] {
-                for k in limits(docs.len()) {
-                    let expect = mono.search_top_k(f, r, Some(k));
-                    let got = sharded.search_top_k(f, r, Some(k));
-                    prop_assert_eq!(
-                        got, expect,
-                        "shards={} k={} filter={} ranked={}",
-                        shards, k, f.is_some(), r.is_some()
-                    );
-                }
+        for (f, r) in [
+            (Some(&filter), None),
+            (None, Some(&expr)),
+            (Some(&filter), Some(&expr)),
+        ] {
+            for k in limits(docs.len()) {
+                let expect = off.search_top_k(f, r, Some(k));
+                let got = auto.search_top_k(f, r, Some(k));
+                prop_assert_eq!(
+                    got, expect,
+                    "k={} filter={} ranked={}",
+                    k, f.is_some(), r.is_some()
+                );
             }
         }
     }
@@ -368,12 +354,12 @@ proptest! {
         ranking_id in arb_ranking_id(),
         k in 1usize..25,
     ) {
-        let all = Engine::build(&docs, config(ranking_id, PruneMode::Auto, 1));
+        let all = Engine::build(&docs, config(ranking_id, PruneMode::Auto));
         let none = Engine::build(
             &docs,
             EngineConfig {
                 positions: PositionsMode::None,
-                ..config(ranking_id, PruneMode::Auto, 1)
+                ..config(ranking_id, PruneMode::Auto)
             },
         );
         prop_assert_eq!(
@@ -396,23 +382,21 @@ proptest! {
         k in 1usize..25,
     ) {
         let min_score = f64::from(min_q) * 0.5;
-        for &shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Auto, shards));
-            let plain = sharded.search_top_k(None, Some(&expr), Some(k));
-            let expect: Vec<_> = plain
-                .into_iter()
-                .filter(|h| h.score.is_some_and(|s| s >= min_score))
-                .collect();
-            let (got, _, _) = sharded.search_top_k_observed(
-                None,
-                Some(&expr),
-                &SearchOptions { limit: Some(k), min_score },
-            );
-            let got: Vec<_> = got
-                .into_iter()
-                .filter(|h| h.score.is_some_and(|s| s >= min_score))
-                .collect();
-            prop_assert_eq!(got, expect, "shards={} min={}", shards, min_score);
-        }
+        let engine = Engine::build(&docs, config(ranking_id, PruneMode::Auto));
+        let plain = engine.search_top_k(None, Some(&expr), Some(k));
+        let expect: Vec<_> = plain
+            .into_iter()
+            .filter(|h| h.score.is_some_and(|s| s >= min_score))
+            .collect();
+        let (got, _, _) = engine.search_top_k_observed(
+            None,
+            Some(&expr),
+            &SearchOptions { limit: Some(k), min_score },
+        );
+        let got: Vec<_> = got
+            .into_iter()
+            .filter(|h| h.score.is_some_and(|s| s >= min_score))
+            .collect();
+        prop_assert_eq!(got, expect, "min={}", min_score);
     }
 }

@@ -256,19 +256,19 @@ impl<'a> SoifReader<'a> {
         {
             self.pos += 1;
         }
-        // Read exactly `count` bytes.
-        let in_bounds = self.pos + count <= self.input.len();
-        if !in_bounds && self.mode == ParseMode::Strict {
+        // Read exactly `count` bytes. The count comes off the wire, so it
+        // is compared with the bytes left rather than added to the
+        // position, which a hostile count near `usize::MAX` overflows.
+        let value_end = (count <= self.input.len() - self.pos).then(|| self.pos + count);
+        if value_end.is_none() && self.mode == ParseMode::Strict {
             return Err(ParseError::UnexpectedEof {
                 offset: self.input.len(),
             });
         }
-        let value_end = self.pos + count;
-        let ends_cleanly = in_bounds
-            && (value_end == self.input.len()
-                || self.input[value_end] == b'\n'
-                || self.input[value_end] == b'\r');
-        if ends_cleanly {
+        let clean_end = value_end.filter(|&end| {
+            end == self.input.len() || self.input[end] == b'\n' || self.input[end] == b'\r'
+        });
+        if let Some(value_end) = clean_end {
             let value = self.input[self.pos..value_end].to_vec();
             self.pos = value_end;
             if self.pos < self.input.len() && self.input[self.pos] == b'\r' {
@@ -281,7 +281,7 @@ impl<'a> SoifReader<'a> {
         }
         match self.mode {
             ParseMode::Strict => Err(ParseError::CountMismatch {
-                offset: value_end,
+                offset: value_end.unwrap_or(self.input.len()),
                 attr: name,
             }),
             ParseMode::Lenient => {
@@ -478,6 +478,23 @@ mod tests {
     fn value_with_trailing_byte_noise_rejected_strict() {
         let text = "@SQuery{\nDropStopWords{1}: TX\n}\n";
         assert!(parse_one(text.as_bytes(), ParseMode::Strict).is_err());
+    }
+
+    #[test]
+    fn hostile_byte_counts_do_not_overflow() {
+        // Counts past the end of the input, up to `usize::MAX`: Strict
+        // reports a truncated value, Lenient resynchronizes on the next
+        // line. Neither may add the count to the read position.
+        for count in [usize::MAX, usize::MAX - 15, 1 << 20] {
+            let text = format!("@SQuery{{\nVersion{{{count}}}: x\n}}\n");
+            let err = parse_one(text.as_bytes(), ParseMode::Strict).unwrap_err();
+            assert!(
+                matches!(err, ParseError::UnexpectedEof { .. }),
+                "count {count}: {err:?}"
+            );
+            let obj = parse_one(text.as_bytes(), ParseMode::Lenient).unwrap();
+            assert_eq!(obj.get_str("Version"), Some("x"), "count {count}");
+        }
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub fn execute(source: &Source, query: &Query) -> QueryResults {
 /// so both sides of the wire stitch into one trace tree — and the
 /// context is echoed back on the results, together with an
 /// `XQueryProfile` extension attribute breaking the host-side cost into
-/// rewrite/translate/execute stages (per-shard search latencies and
-/// prune counters included). Untraced queries get neither attribute, so
-/// their encodings stay byte-identical to the paper's examples.
+/// rewrite/translate/execute stages (search latency and prune counters
+/// included). Untraced queries get neither attribute, so their
+/// encodings stay byte-identical to the paper's examples.
 pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) -> QueryResults {
     // Spans record durations only when dropped, so the wire-visible
     // profile keeps its own explicit clock. All offsets are relative to
@@ -120,42 +120,16 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
         .inc();
     }
     let search_start = elapsed_us(t0);
-    let (mut hits, shard_latencies, prune) = {
-        // The fan-out span only appears when there is an actual fan-out;
-        // a single-shard engine searches inline and the span would be
-        // noise. It nests under the `execute` phase span automatically.
-        let _fanout = obs.and_then(|reg| {
-            (engine.shard_count() > 1).then(|| {
-                reg.span_with(
-                    "engine.shard.fanout",
-                    vec![
-                        ("source", source.id().to_string()),
-                        ("shards", engine.shard_count().to_string()),
-                    ],
-                )
-            })
-        });
-        engine.search_top_k_observed(
-            filter_ir.as_ref(),
-            ranking_ir.as_ref(),
-            &SearchOptions {
-                limit,
-                min_score: query.answer.min_doc_score,
-            },
-        )
-    };
+    let (mut hits, _, prune) = engine.search_top_k_observed(
+        filter_ir.as_ref(),
+        ranking_ir.as_ref(),
+        &SearchOptions {
+            limit,
+            min_score: query.answer.min_doc_score,
+        },
+    );
     let search_end = elapsed_us(t0);
     if let Some(reg) = obs {
-        let shards = engine.shard_count().to_string();
-        reg.counter_with(
-            "engine.shard.searches",
-            &[("source", source.id()), ("shards", &shards)],
-        )
-        .inc();
-        for &us in &shard_latencies {
-            reg.histogram_with("engine.shard.latency_us", &[("source", source.id())])
-                .observe(us);
-        }
         // Dynamic-pruning effectiveness (§ docs/performance.md): how many
         // candidate docs the bound check discarded without scoring. The
         // counters register even when zero so dashboards see the series.
@@ -212,22 +186,7 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
     }
 
     let profile = profiling.then(|| {
-        // The per-shard search windows: shards run in parallel, so each
-        // child starts at the search call and lasts its own measured
-        // latency (each ≤ the call's wall-clock, so nesting holds).
-        let mut search = StageCost::new("search", search_start, search_end - search_start)
-            .with_meta("shards", engine.shard_count());
-        search.children = shard_latencies
-            .iter()
-            .enumerate()
-            .map(|(i, &us)| {
-                StageCost::new(
-                    format!("shard-{i}"),
-                    search_start,
-                    us.min(search_end - search_start),
-                )
-            })
-            .collect();
+        let search = StageCost::new("search", search_start, search_end - search_start);
         let execute_end = elapsed_us(t0);
         let mut execute = StageCost::new("execute", execute_start, execute_end - execute_start)
             .with_meta("candidates", prune.candidates)
@@ -398,13 +357,13 @@ fn build_document(
         sources: vec![source.id().to_string()],
         fields,
         term_stats,
-        doc_size_kb: engine.doc_byte_size(hit.doc).div_ceil(1024),
-        doc_count: u64::from(engine.doc_token_count(hit.doc)),
+        doc_size_kb: engine.index().doc_byte_size(hit.doc).div_ceil(1024),
+        doc_count: u64::from(engine.index().doc_token_count(hit.doc)),
     }
 }
 
 fn push_field(
-    engine: &starts_index::ShardedEngine,
+    engine: &starts_index::Engine,
     doc: DocId,
     field: &Field,
     out: &mut Vec<(Field, String)>,

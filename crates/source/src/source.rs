@@ -1,6 +1,6 @@
 //! The [`Source`] type: one STARTS-conformant document source.
 
-use starts_index::{Document, PostingsFootprint, ShardedEngine};
+use starts_index::{Document, Engine, PostingsFootprint};
 use starts_proto::metadata::SourceMetadata;
 use starts_proto::summary::ContentSummary;
 use starts_proto::{Query, QueryResults};
@@ -35,7 +35,7 @@ use crate::config::SourceConfig;
 /// ```
 pub struct Source {
     config: SourceConfig,
-    engine: ShardedEngine,
+    engine: Engine,
     /// Metadata is immutable once built; assemble it eagerly.
     metadata: SourceMetadata,
     /// The engine never changes after the build, so neither does its
@@ -47,18 +47,15 @@ impl std::fmt::Debug for Source {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Source")
             .field("id", &self.config.id)
-            .field("n_docs", &self.engine.n_docs())
+            .field("n_docs", &self.engine.index().n_docs())
             .finish()
     }
 }
 
 impl Source {
-    /// Index `docs` under the configured engine personality. The index
-    /// is built in parallel across `config.engine.shards` shards
-    /// (default: available parallelism); results are bit-identical at
-    /// any shard count.
+    /// Index `docs` under the configured engine personality.
     pub fn build(config: SourceConfig, docs: &[Document]) -> Self {
-        let engine = ShardedEngine::build(docs, config.engine.clone());
+        let engine = Engine::build(docs, config.engine.clone());
         let metadata = assemble_metadata(&config, &engine);
         let footprint = engine.postings_footprint();
         Source {
@@ -81,17 +78,17 @@ impl Source {
 
     /// The engine (test and experiment access; a protocol client never
     /// touches this).
-    pub fn engine(&self) -> &ShardedEngine {
+    pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
     /// Number of documents.
     pub fn num_docs(&self) -> u32 {
-        self.engine.n_docs()
+        self.engine.index().n_docs()
     }
 
     /// The engine's postings memory, as
-    /// [`ShardedEngine::postings_footprint`] reported it at build time.
+    /// [`Engine::postings_footprint`] reported it at build time.
     pub fn postings_footprint(&self) -> PostingsFootprint {
         self.footprint
     }
@@ -130,7 +127,7 @@ impl Source {
     }
 }
 
-fn assemble_metadata(config: &SourceConfig, engine: &ShardedEngine) -> SourceMetadata {
+fn assemble_metadata(config: &SourceConfig, engine: &Engine) -> SourceMetadata {
     let analyzer_cfg = engine.analyzer().config();
     let fields_supported = config
         .supported_fields
@@ -139,7 +136,7 @@ fn assemble_metadata(config: &SourceConfig, engine: &ShardedEngine) -> SourceMet
             let langs = engine
                 .schema()
                 .get(f.name())
-                .map(|fid| engine.field_languages(fid))
+                .map(|fid| engine.index().field_languages(fid))
                 .unwrap_or_default();
             (f.clone(), langs)
         })

@@ -13,8 +13,6 @@
 //! `StopWords: F` — the paper prefers unstemmed/case-preserved words "if
 //! possible", and whether that is possible depends on the engine.
 
-use std::collections::BTreeMap;
-
 use starts_index::ANY_FIELD;
 use starts_proto::summary::{ContentSummary, SummarySection, TermSummary};
 use starts_text::CaseMode;
@@ -33,7 +31,7 @@ pub fn generate(source: &Source) -> ContentSummary {
             if terms.is_empty() {
                 continue;
             }
-            let langs = engine.field_languages(fid);
+            let langs = engine.index().field_languages(fid);
             sections.push(SummarySection {
                 field: Some(engine.schema().name(fid).to_string()),
                 language: langs.first().cloned(),
@@ -55,35 +53,27 @@ pub fn generate(source: &Source) -> ContentSummary {
         // Words in the index never include the engine's stop words.
         stop_words_included: cfg.stop_words.is_empty(),
         case_sensitive: cfg.case == CaseMode::Sensitive,
-        num_docs: engine.n_docs(),
+        num_docs: engine.index().n_docs(),
         sections,
     }
 }
 
 fn collect_terms(
-    engine: &starts_index::ShardedEngine,
+    engine: &starts_index::Engine,
     field: starts_index::FieldId,
     max_terms: usize,
 ) -> Vec<TermSummary> {
-    // BTreeMap gives deterministic (sorted) export order. Shards hold
-    // disjoint document subsets, so per-shard postings totals and
-    // document frequencies add up to the collection-wide figures.
-    let mut stats: BTreeMap<&str, (u64, u32)> = BTreeMap::new();
-    for shard in engine.shards() {
-        for (term, postings) in shard.index().field_vocabulary(field) {
-            let entry = stats.entry(term).or_insert((0, 0));
-            entry.0 += postings.total_tf();
-            entry.1 += postings.len() as u32;
-        }
-    }
-    let mut terms: Vec<TermSummary> = stats
-        .into_iter()
-        .map(|(term, (total, df))| TermSummary {
+    let mut terms: Vec<TermSummary> = engine
+        .index()
+        .field_vocabulary(field)
+        .map(|(term, postings)| TermSummary {
             term: term.to_string(),
-            total_postings: Some(total),
-            doc_freq: Some(df),
+            total_postings: Some(postings.total_tf()),
+            doc_freq: Some(postings.len() as u32),
         })
         .collect();
+    // The vocabulary iterates in hash order; export alphabetically.
+    terms.sort_by(|a, b| a.term.cmp(&b.term));
     if max_terms > 0 && terms.len() > max_terms {
         // Keep the highest-df words — the ones that matter for source
         // selection — then restore alphabetical order.

@@ -15,7 +15,7 @@
 //! | `glimpse`    | —          | F only      | Acme-1    | no    | none           | keep | —         |
 //! | `rankonly`   | Plain-1    | R only      | Acme-1    | no    | minimal        | fold | no        |
 
-use starts_index::{EngineConfig, PositionsMode, PruneMode, ShardPolicy};
+use starts_index::{EngineConfig, PositionsMode, PruneMode};
 use starts_proto::attrs::CmpOp;
 use starts_proto::metadata::QueryParts;
 use starts_proto::{Field, Modifier};
@@ -49,10 +49,8 @@ pub fn acme(id: &str) -> SourceConfig {
         ranking_id: "Acme-1".to_string(),
         fuzzy_ranking_ops: true,
         thesaurus: Thesaurus::empty(),
-        shards: 0,
         prune: PruneMode::Auto,
         positions: PositionsMode::All,
-        shard_policy: ShardPolicy::Adaptive,
     };
     c.supported_fields = all_optional_fields();
     c.supported_modifiers = vec![
@@ -82,10 +80,8 @@ pub fn bolt(id: &str) -> SourceConfig {
         ranking_id: "Vendor-K".to_string(),
         fuzzy_ranking_ops: false,
         thesaurus: Thesaurus::empty(),
-        shards: 0,
         prune: PruneMode::Auto,
         positions: PositionsMode::All,
-        shard_policy: ShardPolicy::Adaptive,
     };
     c.supported_fields = vec![Field::Author, Field::BodyOfText];
     c.supported_modifiers = vec![Modifier::RightTruncation];
@@ -108,10 +104,8 @@ pub fn okapi(id: &str) -> SourceConfig {
         ranking_id: "Okapi-1".to_string(),
         fuzzy_ranking_ops: true,
         thesaurus: Thesaurus::computer_science(),
-        shards: 0,
         prune: PruneMode::Auto,
         positions: PositionsMode::All,
-        shard_policy: ShardPolicy::Adaptive,
     };
     c.supported_fields = all_optional_fields();
     // Okapi is the research engine: it also honours the two STARTS-new
@@ -148,10 +142,8 @@ pub fn glimpse(id: &str) -> SourceConfig {
         ranking_id: "Plain-1".to_string(),
         fuzzy_ranking_ops: false,
         thesaurus: Thesaurus::empty(),
-        shards: 0,
         prune: PruneMode::Auto,
         positions: PositionsMode::All,
-        shard_policy: ShardPolicy::Adaptive,
     };
     c.query_parts = QueryParts::Filter;
     c.supported_fields = all_optional_fields();
@@ -179,13 +171,11 @@ pub fn rankonly(id: &str) -> SourceConfig {
         ranking_id: "Plain-1".to_string(),
         fuzzy_ranking_ops: false,
         thesaurus: Thesaurus::empty(),
-        shards: 0,
         prune: PruneMode::Auto,
         // Ranking-only and flattens operators to `list`: no `prox` ever
         // consults positions, so the positional store is dropped and
         // search runs entirely off the block postings.
         positions: PositionsMode::None,
-        shard_policy: ShardPolicy::Adaptive,
     };
     c.query_parts = QueryParts::Ranking;
     c.supported_fields = vec![Field::BodyOfText];

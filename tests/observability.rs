@@ -222,92 +222,6 @@ fn metasearch_produces_one_trace_tree_spanning_the_wire() {
 }
 
 #[test]
-fn sharded_source_records_fanout_span_and_shard_metrics() {
-    use starts::index::Document;
-    use starts::proto::{query::parse_ranking, Query};
-
-    let net = SimNet::new();
-    let mut cfg = SourceConfig::new("Sharded");
-    cfg.engine.shards = 2;
-    // The test observes per-shard metrics, so it needs a physically
-    // 2-shard layout regardless of the machine's core count.
-    cfg.engine.shard_policy = starts::index::ShardPolicy::Exact;
-    let docs: Vec<Document> = (0..10)
-        .map(|i| {
-            Document::new()
-                .field("body-of-text", format!("databases shard doc {i}"))
-                .field("linkage", format!("http://x/{i}"))
-        })
-        .collect();
-    let source = Source::build(cfg, &docs);
-    assert_eq!(source.engine().shard_count(), 2);
-    let url = wire_source(&net, source, LinkProfile::default());
-
-    let q = Query {
-        ranking: Some(parse_ranking(r#"list("databases")"#).unwrap()),
-        ..Query::default()
-    };
-    net.request(&url, &starts::soif::write_object(&q.to_soif()))
-        .unwrap();
-
-    // The shard counters land in the host registry, labeled by source
-    // and shard count, with one latency observation per shard.
-    let snap = net.registry().snapshot();
-    assert_eq!(
-        snap.counter(
-            "engine.shard.searches",
-            &[("source", "Sharded"), ("shards", "2")]
-        ),
-        1
-    );
-    let h = snap
-        .histogram("engine.shard.latency_us", &[("source", "Sharded")])
-        .expect("per-shard latency histogram");
-    assert_eq!(h.count, 2, "one observation per shard");
-
-    // The fan-out span nests under the execute phase of the host-side
-    // query span.
-    assert!(
-        net.registry()
-            .recent_spans()
-            .iter()
-            .any(|e| e.path == "source.execute/execute/engine.shard.fanout"),
-        "fan-out span missing from the trace"
-    );
-
-    // Both exporters carry the shard families.
-    let text = export::prometheus(&snap);
-    assert!(text.contains("engine_shard_searches"));
-    assert!(text.contains("engine_shard_latency_us"));
-    let bytes = starts::soif::write_object(&export::to_soif(&snap));
-    let obj = &starts::soif::parse(&bytes, starts::soif::ParseMode::Strict).unwrap()[0];
-    assert_eq!(export::snapshot_from_soif(obj).unwrap(), snap);
-
-    // A single-shard source searches inline: no fan-out span.
-    let mut cfg1 = SourceConfig::new("Mono");
-    cfg1.engine.shards = 1;
-    let mono = Source::build(cfg1, &docs);
-    let url1 = wire_source(&net, mono, LinkProfile::default());
-    net.registry().reset();
-    net.request(&url1, &starts::soif::write_object(&q.to_soif()))
-        .unwrap();
-    assert!(net
-        .registry()
-        .recent_spans()
-        .iter()
-        .all(|e| e.name != "engine.shard.fanout"));
-    let snap = net.registry().snapshot();
-    assert_eq!(
-        snap.counter(
-            "engine.shard.searches",
-            &[("source", "Mono"), ("shards", "1")]
-        ),
-        1,
-        "shard.searches counts even without a fan-out"
-    );
-}
-
-#[test]
 fn prune_metrics_flow_through_stats_and_prometheus() {
     use starts::index::{Document, PruneMode};
     use starts::proto::{query::parse_ranking, Query};
@@ -339,7 +253,6 @@ fn prune_metrics_flow_through_stats_and_prometheus() {
     let net = SimNet::new();
     let mut cfg = SourceConfig::new("Pruned");
     cfg.engine.ranking_id = "Plain-1".to_string();
-    cfg.engine.shards = 2;
     let url = wire_source(&net, Source::build(cfg, &docs), LinkProfile::default());
     let resp = net
         .request(&url, &starts::soif::write_object(&q.to_soif()))
@@ -381,7 +294,6 @@ fn prune_metrics_flow_through_stats_and_prometheus() {
     // returns the identical document and skips nothing.
     let mut off = SourceConfig::new("Unpruned");
     off.engine.ranking_id = "Plain-1".to_string();
-    off.engine.shards = 2;
     off.engine.prune = PruneMode::Off;
     let url_off = wire_source(&net, Source::build(off, &docs), LinkProfile::default());
     let resp_off = net
