@@ -26,6 +26,11 @@
 /// The extension attribute carrying the query profile on `@SQResults`.
 pub const PROFILE_ATTR: &str = "XQueryProfile";
 
+/// The deepest stage a decoded profile may nest. Real profiles nest six
+/// deep; the cap keeps a hostile value from building a tree that the
+/// recursive walks (consistency, critical path, drop) cannot handle.
+const MAX_DEPTH: usize = 32;
+
 /// One timed stage of query processing: a named interval plus metadata
 /// counters and nested sub-stages.
 ///
@@ -79,9 +84,10 @@ impl StageCost {
 
     /// Shift this stage and all descendants by `delta_us` — used to
     /// rebase a host-side profile (offsets relative to the host root)
-    /// into the client-side timeline.
+    /// into the client-side timeline. Saturates: a wire-supplied offset
+    /// near `u64::MAX` must not overflow.
     pub fn shift(&mut self, delta_us: u64) {
-        self.start_us += delta_us;
+        self.start_us = self.start_us.saturating_add(delta_us);
         for c in &mut self.children {
             c.shift(delta_us);
         }
@@ -179,8 +185,9 @@ impl QueryProfile {
     }
 
     /// Decode an attribute value. Lenient: anything that does not parse
-    /// into a well-formed stage tree yields `None` (per §4.3, unknown or
-    /// unusable extension data must not affect query processing).
+    /// into a well-formed, [consistent](QueryProfile::is_consistent)
+    /// stage tree yields `None` (per §4.3, unknown or unusable extension
+    /// data must not affect query processing).
     pub fn decode(value: &str) -> Option<QueryProfile> {
         let mut lines = value.lines();
         let query_id = lines.next()?.trim();
@@ -196,6 +203,9 @@ impl QueryProfile {
             }
             let mut tok = line.split_whitespace();
             let depth: usize = tok.next()?.parse().ok()?;
+            if depth > MAX_DEPTH {
+                return None;
+            }
             let start_us: u64 = tok.next()?.parse().ok()?;
             let duration_us: u64 = tok.next()?.parse().ok()?;
             let name = tok.next()?;
@@ -231,24 +241,23 @@ impl QueryProfile {
             let done = stack.pop()?;
             stack.last_mut()?.children.push(done);
         }
-        Some(QueryProfile {
+        let profile = QueryProfile {
             query_id: query_id.to_string(),
             root: stack.pop()?,
-        })
+        };
+        profile.is_consistent().then_some(profile)
     }
 
-    /// The chain of stages that bounded the query's wall-clock: from the
-    /// root, repeatedly descend into the most expensive child. With a
-    /// parallel fan-out this is the slowest worker (they start
-    /// together); with a sequential pipeline it is the dominant stage,
-    /// not merely the last one to finish.
+    /// The chain of stages that bounded the query's wall-clock, root
+    /// first, in chronological order. At each stage the children are
+    /// swept backwards from the stage's end: repeatedly take the
+    /// latest-finishing child that ended by the cursor, move the cursor
+    /// to its start, and descend into every taken child. A sequential
+    /// pipeline (the direct dispatch path) puts each of its stages on
+    /// the path; a parallel wave contributes only its slowest branch.
     pub fn critical_path(&self) -> Vec<&StageCost> {
-        let mut path = vec![&self.root];
-        let mut cur = &self.root;
-        while let Some(next) = cur.children.iter().max_by_key(|c| c.duration_us) {
-            path.push(next);
-            cur = next;
-        }
+        let mut path = Vec::new();
+        critical_into(&self.root, &mut path);
         path
     }
 
@@ -270,6 +279,25 @@ impl QueryProfile {
         }
         self.root.render_into(0, &mut out);
         out
+    }
+}
+
+fn critical_into<'a>(stage: &'a StageCost, path: &mut Vec<&'a StageCost>) {
+    path.push(stage);
+    let mut cursor = stage.end_us();
+    let mut taken = vec![false; stage.children.len()];
+    let mut chain = Vec::new();
+    // Each step takes one child, so the sweep terminates.
+    while let Some(i) = (0..stage.children.len())
+        .filter(|&i| !taken[i] && stage.children[i].end_us() <= cursor)
+        .max_by_key(|&i| stage.children[i].end_us())
+    {
+        taken[i] = true;
+        cursor = stage.children[i].start_us;
+        chain.push(&stage.children[i]);
+    }
+    for child in chain.into_iter().rev() {
+        critical_into(child, path);
     }
 }
 
@@ -329,9 +357,18 @@ mod tests {
             "q-1\n0 0 10 a badmeta",
             "q-1\n0 0 10 a =emptykey",
             "two words\n0 0 10 a",
+            // Parses, but a child overruns its parent (the shift that
+            // grafts it would overflow).
+            "q-1\n0 0 10 source.execute\n1 18446744073709551615 0 rewrite",
+            "q-1\n0 0 10 a\n1 5 6 overruns-the-end",
         ] {
             assert_eq!(QueryProfile::decode(bad), None, "input {bad:?}");
         }
+        // Nesting deeper than the cap is refused, not recursed into.
+        let deep: String = (0..=MAX_DEPTH + 1)
+            .map(|d| format!("\n{d} 0 1 s"))
+            .collect();
+        assert_eq!(QueryProfile::decode(&format!("q-1{deep}")), None);
     }
 
     #[test]
@@ -354,14 +391,100 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_follows_latest_finisher() {
+    fn critical_path_sweeps_back_from_each_stage_end() {
         let p = sample();
         let names: Vec<&str> = p.critical_path().iter().map(|s| s.name.as_str()).collect();
-        // execute ends at 430 (latest top-level child); shard-1 ends at
-        // 390 vs shard-0 at 160.
-        assert_eq!(names, ["source.execute", "execute", "shard-1"]);
+        // The host phases run back to back, so all three are on the
+        // path; of the two shards started together only the later
+        // finisher (shard-1, ending at 390) bounded `execute`.
+        assert_eq!(
+            names,
+            [
+                "source.execute",
+                "rewrite",
+                "translate",
+                "execute",
+                "shard-1"
+            ]
+        );
         let summary = p.critical_path_summary();
-        assert!(summary.starts_with("source.execute (450us) → execute (400us)"));
+        assert!(summary.starts_with("source.execute (450us) → rewrite (10us)"));
+    }
+
+    #[test]
+    fn critical_path_runs_through_every_sequential_source() {
+        // The direct dispatch path: three sources one after another
+        // under `dispatch`, each with a host subtree. The slowest is
+        // the first, so descending into the biggest child alone would
+        // stop at one source.
+        let source = |start: u64, dur: u64| {
+            let mut s = StageCost::new("source", start, dur);
+            s.children = vec![StageCost::new("source.execute", start, dur - 5)];
+            s
+        };
+        let mut dispatch = StageCost::new("dispatch", 20, 300);
+        dispatch.children = vec![source(20, 200), source(220, 50), source(270, 50)];
+        let mut root = StageCost::new("meta.search", 0, 340);
+        root.children = vec![
+            StageCost::new("select", 0, 10),
+            StageCost::new("adapt", 10, 10),
+            dispatch,
+            StageCost::new("merge", 320, 20),
+        ];
+        let p = QueryProfile {
+            query_id: "q-seq".to_string(),
+            root,
+        };
+        let path: Vec<(&str, u64)> = p
+            .critical_path()
+            .iter()
+            .map(|s| (s.name.as_str(), s.start_us))
+            .collect();
+        let sources: Vec<u64> = path
+            .iter()
+            .filter(|(name, _)| *name == "source")
+            .map(|&(_, start)| start)
+            .collect();
+        assert_eq!(sources, [20, 220, 270], "{}", p.critical_path_summary());
+        assert_eq!(
+            path.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+            [
+                "meta.search",
+                "select",
+                "adapt",
+                "dispatch",
+                "source",
+                "source.execute",
+                "source",
+                "source.execute",
+                "source",
+                "source.execute",
+                "merge"
+            ]
+        );
+    }
+
+    #[test]
+    fn critical_path_of_a_parallel_wave_is_its_slowest_branch() {
+        let mut dispatch = StageCost::new("dispatch", 0, 100);
+        dispatch.children = vec![
+            StageCost::new("a", 3, 47),
+            StageCost::new("b", 4, 56),
+            StageCost::new("c", 5, 95),
+        ];
+        let p = QueryProfile {
+            query_id: String::new(),
+            root: dispatch,
+        };
+        let names: Vec<&str> = p.critical_path().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["dispatch", "c"]);
+    }
+
+    #[test]
+    fn shift_saturates_instead_of_overflowing() {
+        let mut s = StageCost::new("rewrite", u64::MAX, 0);
+        s.shift(7);
+        assert_eq!(s.start_us, u64::MAX);
     }
 
     #[test]

@@ -220,9 +220,15 @@ impl Query {
             q.answer.sort_by = decode_sort(v)?;
         }
         if let Some(v) = o.get_str("MinDocumentScore") {
+            // `f64::from_str` also reads `inf`, `NaN` and overflowing
+            // literals like `1e400`; the encoder never writes a
+            // non-finite threshold, and `inf` would read as "no
+            // threshold at all".
             q.answer.min_doc_score = v
                 .parse()
-                .map_err(|_| ProtoError::invalid("MinDocumentScore", "not a number"))?;
+                .ok()
+                .filter(|s: &f64| s.is_finite())
+                .ok_or_else(|| ProtoError::invalid("MinDocumentScore", "not a finite number"))?;
         }
         if let Some(v) = o.get_str("MaxNumberDocuments") {
             q.answer.max_documents = v
@@ -415,6 +421,11 @@ mod tests {
         o.push_str("SortByFields", "title");
         assert!(Query::from_soif(&o).is_err());
         assert!(parse_bool("X", "yes").is_err());
+        for score in ["x", "inf", "-inf", "NaN", "1e400", "-1e400"] {
+            let mut o = Query::default().to_soif();
+            o.push_str("MinDocumentScore", score);
+            assert!(Query::from_soif(&o).is_err(), "MinDocumentScore {score}");
+        }
     }
 
     #[test]

@@ -8,11 +8,10 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use starts_net::{Exchange, SimNet, StartsClient};
 use starts_obs::{FlightRecorder, HealthBoard, TraceTree};
-use starts_proto::{Field, QTerm, Query, QueryProfile, StageCost};
+use starts_proto::{Field, QTerm, Query, QueryProfile};
 
 use crate::catalog::Catalog;
 use crate::merge::{MergedDoc, Merger, SourceResult};
@@ -212,11 +211,10 @@ impl<'n> Metasearcher<'n> {
     pub fn search(&self, query: &Query) -> MetaResponse {
         let obs = self.net.registry();
         let query_id = starts_obs::trace::next_query_id();
-        // Spans record on drop; the wire-visible QueryProfile keeps its
-        // own explicit clock, all offsets relative to `t0`.
-        let t0 = Instant::now();
-        let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
-        let _root = obs.span_with("meta.search", vec![("trace", query_id.clone())]);
+        // Every profile stage is a span finished against the root's
+        // start.
+        let root = obs.span_with("meta.search", vec![("trace", query_id.clone())]);
+        let t0 = root.started();
         obs.counter("meta.searches").inc();
 
         // 1+2. Select sources and adapt the query per source.
@@ -226,107 +224,56 @@ impl<'n> Metasearcher<'n> {
         // order, on the calling thread.
         let client = StartsClient::new(self.net);
         let health = &self.config.health;
-        let dispatch_start = elapsed_us(t0);
-        let successes: Vec<pipeline::TaskSuccess> = {
-            let dispatch = obs.span("dispatch");
-            let parent = dispatch.handle();
-            plan.tasks
-                .iter()
-                .filter_map(|task| {
-                    let run = || {
-                        pipeline::run_task(
-                            &client,
-                            task,
-                            health,
-                            self.config.timeout_ms,
-                            &parent,
-                            &query_id,
-                            t0,
-                            None,
-                        )
-                    };
-                    // Panic isolation: a panicking exchange becomes a
-                    // failed-source outcome instead of poisoning the
-                    // whole query.
-                    match catch_unwind(AssertUnwindSafe(run)) {
-                        Ok(outcome) => outcome.ok(),
-                        Err(_) => {
-                            pipeline::record_panicked_dispatch(obs, health, &task.id);
-                            None
-                        }
+        let dispatch = obs.span("dispatch");
+        let parent = dispatch.handle();
+        let successes: Vec<pipeline::TaskSuccess> = plan
+            .tasks
+            .iter()
+            .filter_map(|task| {
+                let run = || {
+                    pipeline::run_task(
+                        &client,
+                        task,
+                        health,
+                        self.config.timeout_ms,
+                        &parent,
+                        &query_id,
+                        t0,
+                        None,
+                    )
+                };
+                // Panic isolation: a panicking exchange becomes a
+                // failed-source outcome instead of poisoning the whole
+                // query.
+                match catch_unwind(AssertUnwindSafe(run)) {
+                    Ok(outcome) => outcome.ok(),
+                    Err(_) => {
+                        pipeline::record_panicked_dispatch(obs, health, &task.id);
+                        None
                     }
-                })
-                .collect()
-        };
-        let dispatch_end = elapsed_us(t0);
-        // Publish the refreshed scoreboard so every exporter (and the
-        // /stats endpoint of anyone sharing this registry) carries it.
-        health.export_to(obs);
-        let mut stats = QueryStats::default();
-        let mut source_stages = Vec::new();
-        let per_source: Vec<SourceResult> = successes
-            .into_iter()
-            .map(|success| {
-                stats.absorb(&success.exchange);
-                source_stages.push(success.stage);
-                success.result
+                }
             })
             .collect();
-        obs.gauge("meta.query_cost").add(stats.total_cost);
 
-        // 4. Merge — bounded: per-source lists already arrive sorted by
-        // score, so the merger only materialises the best
-        // `max_results` documents instead of every candidate.
-        let (merged, _mstats, merge_costs) = pipeline::merge_stage(
-            self.config.merger.as_ref(),
-            &per_source,
-            self.config.max_results,
-            obs,
-            t0,
+        // 4+5. Merge, and record the profile.
+        let done = pipeline::complete(
+            self.net,
+            &self.config,
+            &query_id,
+            &plan,
+            root,
+            dispatch,
+            successes,
         );
-
-        // 5. Assemble the per-query cost profile and hand it to the
-        // flight recorder (which decides whether it was slow enough to
-        // keep in the slow-log).
-        let mut dispatch_stage = StageCost::new(
-            "dispatch",
-            dispatch_start,
-            dispatch_end.saturating_sub(dispatch_start),
-        )
-        .with_meta("sources", source_stages.len());
-        dispatch_stage.children = source_stages;
-        let profile = QueryProfile {
-            query_id: query_id.clone(),
-            root: StageCost {
-                name: "meta.search".to_string(),
-                start_us: 0,
-                duration_us: elapsed_us(t0),
-                meta: vec![("results".to_string(), merged.len().to_string())],
-                children: vec![
-                    plan.select_stage.clone(),
-                    plan.adapt_stage.clone(),
-                    dispatch_stage,
-                    merge_costs,
-                ],
-            },
-        };
-        self.config.recorder.record(&profile);
-        self.config.recorder.export_to(obs);
-        // Feed the continuous-monitoring layer: sample the registry
-        // (health gauges above are fresh), evaluate SLO burn rates, and
-        // advance the alert state machine. Between sample steps this is
-        // a clock read.
-        self.net.monitor().tick(obs);
-
         MetaResponse {
-            merged,
+            merged: done.merged,
             selected: plan.selected,
-            per_source,
+            per_source: done.per_source,
             wave_latency_ms: plan.wave_latency_ms,
             total_cost: plan.total_cost,
-            stats,
+            stats: done.stats,
             query_id,
-            profile,
+            profile: done.profile,
         }
     }
 }
@@ -579,12 +526,20 @@ mod tests {
         // phases and, via the wire context, the host-side execution.
         assert!(resp.query_id.starts_with("q-"));
         let tree = meta.trace_tree(&resp.query_id);
-        assert_eq!(tree.roots.len(), 1, "{}", tree.render());
-        assert_eq!(tree.roots[0].event.name, "meta.search");
-        let host = tree.find("source.execute").expect("host span in tree");
-        assert_eq!(host.event.parent, "meta.search/dispatch/source");
-        assert!(host.children.iter().any(|c| c.event.name == "rewrite"));
-        assert!(!tree.critical_path_summary().is_empty());
+        assert_eq!(tree.roots.len(), 1);
+        let root = &tree.roots[0].root;
+        assert_eq!(root.name, "meta.search");
+        let worker = root
+            .find("dispatch")
+            .and_then(|d| d.children.iter().find(|c| c.name == "source"))
+            .expect("worker under dispatch");
+        let host = worker
+            .children
+            .iter()
+            .find(|c| c.name == "source.execute")
+            .expect("host span under the worker");
+        assert!(host.children.iter().any(|c| c.name == "rewrite"));
+        assert!(!tree.roots[0].critical_path_summary().is_empty());
     }
 
     #[test]

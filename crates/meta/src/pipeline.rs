@@ -14,22 +14,27 @@
 //!   propagation, the wire exchange (cancellable), health recording,
 //!   and the per-worker [`StageCost`] with the host's `XQueryProfile`
 //!   grafted in;
-//! * [`merge_stage`] — the bounded merge with its dedup accounting.
+//! * [`merge_stage`] — the bounded merge with its dedup accounting;
+//! * [`complete`] — everything after the dispatch wave: accounting,
+//!   merge, and the query's profile, handed to the flight recorder and
+//!   the network monitor.
 //!
-//! The stages share one explicit clock (`t0`): every [`StageCost`]
-//! offset is relative to it, so a profile assembled from stage pieces
-//! keeps the containment invariant `QueryProfile::is_consistent` checks.
+//! Every [`StageCost`] is the span that timed the stage, closed with
+//! [`Span::finish`] against one origin (`t0`, the root span's start), so
+//! the profile and the query's trace are two views of the same clock
+//! reads, and children nest inside their parents as
+//! `QueryProfile::is_consistent` checks.
 
 use std::time::Instant;
 
-use starts_net::{CancelToken, Exchange, StartsClient};
-use starts_obs::{HealthBoard, Registry, SourceOutcome, SpanHandle};
-use starts_proto::{Query, SourceMetadata, StageCost, TraceContext};
+use starts_net::{CancelToken, Exchange, SimNet, StartsClient};
+use starts_obs::{HealthBoard, Registry, SourceOutcome, Span, SpanHandle};
+use starts_proto::{Query, QueryProfile, SourceMetadata, StageCost, TraceContext};
 
 use crate::adapt::{adapt_query, least_common_denominator};
 use crate::catalog::Catalog;
 use crate::merge::{MergeStats, MergedDoc, Merger, SourceResult};
-use crate::metasearcher::{AdaptMode, MetaConfig};
+use crate::metasearcher::{AdaptMode, MetaConfig, QueryStats};
 
 /// Everything one per-source dispatch needs, fully owned: the serving
 /// layer hands these to pool workers that may outlive the query that
@@ -66,9 +71,9 @@ pub struct QueryPlan {
     pub wave_latency_ms: u32,
     /// Quoted total monetary cost of the wave.
     pub total_cost: f64,
-    /// The `select` stage cost (offsets relative to the plan's `t0`).
+    /// The `select` stage (offsets relative to the plan's `t0`).
     pub select_stage: StageCost,
-    /// The `adapt` stage cost.
+    /// The `adapt` stage.
     pub adapt_stage: StageCost,
 }
 
@@ -100,8 +105,9 @@ pub struct TaskSuccess {
 ///
 /// Runs on the calling thread (selection and adaptation never touch the
 /// wire), opening `select` and `adapt` spans that nest under whatever
-/// span the caller holds open. Consumes only the strategy fields of
-/// [`MetaConfig`] (`selector`, `adapt`, `max_sources`).
+/// span the caller holds open, and finishing them against `t0` into the
+/// plan's stages. Consumes only the strategy fields of [`MetaConfig`]
+/// (`selector`, `adapt`, `max_sources`).
 pub fn plan(
     catalog: &Catalog,
     config: &MetaConfig,
@@ -109,12 +115,9 @@ pub fn plan(
     obs: &Registry,
     t0: Instant,
 ) -> QueryPlan {
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
-
     // 1. Select sources.
-    let select_start = elapsed_us(t0);
+    let span = obs.span("select");
     let chosen: Vec<(usize, f64)> = {
-        let _span = obs.span("select");
         let owned_terms = crate::Metasearcher::selection_terms(query);
         let terms: Vec<(Option<&str>, &str)> = owned_terms
             .iter()
@@ -127,21 +130,20 @@ pub fn plan(
             .take(config.max_sources.max(1))
             .collect()
     };
-    let select_end = elapsed_us(t0);
+    let select_stage = span.finish(t0).with_meta("chosen", chosen.len());
     let selected: Vec<String> = chosen
         .iter()
         .map(|(i, _)| catalog.entries[*i].id.clone())
         .collect();
 
     // 2. Adapt queries.
-    let adapt_start = elapsed_us(t0);
+    let span = obs.span("adapt");
     let max_belief = chosen
         .iter()
         .map(|(_, s)| *s)
         .fold(f64::MIN, f64::max)
         .max(1e-12);
     let tasks: Vec<DispatchTask> = {
-        let _span = obs.span("adapt");
         let lcd_query = if config.adapt == AdaptMode::Lcd {
             let metas: Vec<&SourceMetadata> = chosen
                 .iter()
@@ -171,7 +173,7 @@ pub fn plan(
             })
             .collect()
     };
-    let adapt_end = elapsed_us(t0);
+    let adapt_stage = span.finish(t0);
 
     // Quoted accounting: the wave runs concurrently, so the
     // user-visible latency is the slowest selected link; costs add up.
@@ -190,13 +192,8 @@ pub fn plan(
         tasks,
         wave_latency_ms,
         total_cost,
-        select_stage: StageCost::new(
-            "select",
-            select_start,
-            select_end.saturating_sub(select_start),
-        )
-        .with_meta("chosen", chosen.len()),
-        adapt_stage: StageCost::new("adapt", adapt_start, adapt_end.saturating_sub(adapt_start)),
+        select_stage,
+        adapt_stage,
     }
 }
 
@@ -204,8 +201,9 @@ pub fn plan(
 ///
 /// Opens a `source` span under `parent` (the dispatch span's handle),
 /// threads the trace context over the wire, records the outcome on the
-/// health board, and builds the per-worker [`StageCost`] with the
-/// host's `XQueryProfile` grafted in. `Metasearcher::search` calls it
+/// health board, and finishes the span against `t0` into the per-worker
+/// [`StageCost`], with the host's `XQueryProfile` grafted in at the
+/// span's start. `Metasearcher::search` calls it
 /// inline; the serving layer's pool workers pass a [`CancelToken`].
 ///
 /// A cancelled exchange returns [`TaskError::Cancelled`] without
@@ -224,7 +222,6 @@ pub fn run_task(
     cancel: Option<&CancelToken>,
 ) -> Result<TaskSuccess, TaskError> {
     let obs = client.registry();
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
     let span = obs.span_under(
         "source",
         parent,
@@ -239,10 +236,21 @@ pub fn run_task(
         parent_path: span.path().to_string(),
         parent_span_id: span.id(),
     });
-    let w_start = elapsed_us(t0);
     match client.query_cancellable(&task.url, &q, cancel) {
         Ok((results, exchange)) => {
-            let w_end = elapsed_us(t0);
+            let mut stage = span
+                .finish(t0)
+                .with_meta("latency_ms", exchange.latency_ms)
+                .with_meta("cost", exchange.cost);
+            // The host's own XQueryProfile (if it sent one) nests under
+            // the stage, rebased from the host's clock onto ours: the
+            // exchange ran inline inside the span, so the shifted
+            // subtree stays contained.
+            if let Some(host) = results.profile.clone() {
+                let mut root = host.root;
+                root.shift(stage.start_us);
+                stage.children.push(root);
+            }
             let latency = u64::from(exchange.latency_ms);
             obs.histogram_with("meta.source_latency_ms", &[("source", &task.id)])
                 .observe(latency);
@@ -254,20 +262,6 @@ pub fn run_task(
                     SourceOutcome::ok(latency)
                 },
             );
-            // Per-worker stage for the profile. The host's own
-            // XQueryProfile (if it sent one) nests under it, rebased
-            // from the host's clock onto ours: the exchange ran inline
-            // inside this window, so the shifted subtree stays
-            // contained.
-            let mut stage = StageCost::new("source", w_start, w_end.saturating_sub(w_start))
-                .with_meta("source", &task.id)
-                .with_meta("latency_ms", exchange.latency_ms)
-                .with_meta("cost", exchange.cost);
-            if let Some(host) = results.profile.clone() {
-                let mut root = host.root;
-                root.shift(w_start);
-                stage.children.push(root);
-            }
             Ok(TaskSuccess {
                 result: SourceResult {
                     metadata: task.metadata.clone(),
@@ -304,7 +298,8 @@ pub fn record_panicked_dispatch(obs: &Registry, health: &HealthBoard, source: &s
 }
 
 /// Stage 4: the bounded merge, with its dedup accounting recorded on
-/// the registry and returned as a `merge` [`StageCost`].
+/// the registry and its `merge` span finished against `t0` into a
+/// [`StageCost`].
 pub fn merge_stage(
     merger: &dyn Merger,
     per_source: &[SourceResult],
@@ -312,23 +307,101 @@ pub fn merge_stage(
     obs: &Registry,
     t0: Instant,
 ) -> (Vec<MergedDoc>, MergeStats, StageCost) {
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
-    let merge_start = elapsed_us(t0);
-    let (merged, mstats) = {
-        let _span = obs.span("merge");
-        merger.merge_top_k(per_source, max_results)
-    };
-    let merge_end = elapsed_us(t0);
+    let span = obs.span("merge");
+    let (merged, mstats) = merger.merge_top_k(per_source, max_results);
+    let stage = span
+        .finish(t0)
+        .with_meta("candidates", mstats.candidates)
+        .with_meta("duplicates", mstats.duplicates());
     // Cross-source duplicates collapse during the merge: the difference
     // between candidates in and distinct documents out.
     obs.counter("meta.merge.candidates")
         .add(mstats.candidates as u64);
     obs.counter("meta.merge.duplicates")
         .add(mstats.duplicates() as u64);
-    let stage = StageCost::new("merge", merge_start, merge_end.saturating_sub(merge_start))
-        .with_meta("candidates", mstats.candidates)
-        .with_meta("duplicates", mstats.duplicates());
     (merged, mstats, stage)
+}
+
+/// What [`complete`] hands back for a query's response.
+#[derive(Debug)]
+pub struct Completed {
+    /// The merged rank.
+    pub merged: Vec<MergedDoc>,
+    /// The answering sources' results, in dispatch order.
+    pub per_source: Vec<SourceResult>,
+    /// Accounting from the exchanges that completed.
+    pub stats: QueryStats,
+    /// The query's profile: the root span's stage over `select`,
+    /// `adapt`, `dispatch` (one `source` stage per success) and `merge`.
+    pub profile: QueryProfile,
+}
+
+/// Stage 5: everything after the dispatch wave, for both execution
+/// regimes. Closes `dispatch`, publishes the health board, folds the
+/// exchanges into [`QueryStats`] and `meta.query_cost`, merges, closes
+/// `root` into the profile, and hands the profile to the flight
+/// recorder and the network monitor. Stage offsets are relative to the
+/// root span's start, the origin the plan and the tasks used.
+pub fn complete(
+    net: &SimNet,
+    config: &MetaConfig,
+    query_id: &str,
+    plan: &QueryPlan,
+    root: Span<'_>,
+    dispatch: Span<'_>,
+    successes: Vec<TaskSuccess>,
+) -> Completed {
+    let obs = net.registry();
+    let t0 = root.started();
+    let mut dispatch = dispatch.finish(t0).with_meta("sources", successes.len());
+    // Publish the refreshed scoreboard so every exporter (and the
+    // /stats endpoint of anyone sharing this registry) carries it.
+    config.health.export_to(obs);
+    let mut stats = QueryStats::default();
+    let per_source: Vec<SourceResult> = successes
+        .into_iter()
+        .map(|success| {
+            stats.absorb(&success.exchange);
+            dispatch.children.push(success.stage);
+            success.result
+        })
+        .collect();
+    obs.gauge("meta.query_cost").add(stats.total_cost);
+
+    // Bounded: per-source lists already arrive sorted by score, so the
+    // merger only materialises the best `max_results` documents.
+    let (merged, _, merge) = merge_stage(
+        config.merger.as_ref(),
+        &per_source,
+        config.max_results,
+        obs,
+        t0,
+    );
+
+    let mut root = root.finish(t0).with_meta("results", merged.len());
+    root.children = vec![
+        plan.select_stage.clone(),
+        plan.adapt_stage.clone(),
+        dispatch,
+        merge,
+    ];
+    let profile = QueryProfile {
+        query_id: query_id.to_string(),
+        root,
+    };
+    // The recorder decides whether the query was slow enough for the
+    // slow-log; the monitor samples the registry (health gauges above
+    // are fresh), evaluates SLO burn rates, and advances the alert
+    // state machine — between sample steps that is a clock read.
+    config.recorder.record(&profile);
+    config.recorder.export_to(obs);
+    net.monitor().tick(obs);
+    Completed {
+        merged,
+        per_source,
+        stats,
+        profile,
+    }
 }
 
 /// The canonical singleflight/cache key material for a query: its SOIF

@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use starts_obs::Registry;
 use starts_proto::{Query, QueryResults};
 use starts_source::{ResourceHost, Source};
 
@@ -35,9 +36,17 @@ fn empty_results(source_id: &str) -> Vec<u8> {
     .to_soif_stream()
 }
 
-fn parse_query(request: &[u8]) -> Option<Query> {
-    let obj = starts_soif::parse_one(request, starts_soif::ParseMode::Lenient).ok()?;
-    Query::from_soif(&obj).ok()
+/// Decode a query request, counting a refused one in
+/// `source.request.rejected{source}`.
+fn parse_query(request: &[u8], obs: &Registry, source_id: &str) -> Option<Query> {
+    let query = starts_soif::parse_one(request, starts_soif::ParseMode::Lenient)
+        .ok()
+        .and_then(|obj| Query::from_soif(&obj).ok());
+    if query.is_none() {
+        obs.counter_with("source.request.rejected", &[("source", source_id)])
+            .inc();
+    }
+    query
 }
 
 /// Publish one stand-alone source. Returns the query URL.
@@ -76,10 +85,12 @@ pub fn wire_source(net: &SimNet, source: Source, profile: LinkProfile) -> String
         net.register(
             query_url.clone(),
             profile,
-            Arc::new(move |request: &[u8]| match parse_query(request) {
-                Some(q) => source.execute_traced(&q, Some(&obs)).to_soif_stream(),
-                None => empty_results(source.id()),
-            }),
+            Arc::new(
+                move |request: &[u8]| match parse_query(request, &obs, source.id()) {
+                    Some(q) => source.execute_traced(&q, Some(&obs)).to_soif_stream(),
+                    None => empty_results(source.id()),
+                },
+            ),
         );
     }
     query_url
@@ -133,13 +144,15 @@ pub fn wire_resource(
         net.register(
             url,
             profile,
-            Arc::new(move |request: &[u8]| match parse_query(request) {
-                Some(q) => host
-                    .execute_at_traced(&id, &q, Some(&obs))
-                    .map(|r| r.to_soif_stream())
-                    .unwrap_or_else(|| empty_results(&id)),
-                None => empty_results(&id),
-            }),
+            Arc::new(
+                move |request: &[u8]| match parse_query(request, &obs, &id) {
+                    Some(q) => host
+                        .execute_at_traced(&id, &q, Some(&obs))
+                        .map(|r| r.to_soif_stream())
+                        .unwrap_or_else(|| empty_results(&id)),
+                    None => empty_results(&id),
+                },
+            ),
         );
     }
 }

@@ -16,9 +16,11 @@
 //!   object ([`export::to_soif`]) that round-trips through
 //!   `starts_soif::parse`;
 //! * **Traces** — [`trace::TraceTree`] stitches the span ring back into
-//!   per-query trees (spans carry ids and parent ids, and a
-//!   [`SpanHandle`] can cross threads or the wire), with critical-path
-//!   extraction and a JSONL sink;
+//!   per-query `QueryProfile` trees (spans carry ids and parent ids, and
+//!   a [`SpanHandle`] can cross threads or the wire), and
+//!   [`Span::finish`] closes a span into the profile stage it timed, so
+//!   a query's profile and its trace share every clock read; plus a
+//!   JSONL sink;
 //! * **Flight recorder** — [`FlightRecorder`] keeps the last N
 //!   per-query cost profiles (`starts_proto::QueryProfile`) in a
 //!   bounded ring, captures queries over a rolling p99 or an absolute
@@ -58,4 +60,4 @@ pub use registry::{
     CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricId, Registry, Snapshot,
 };
 pub use span::{Span, SpanEvent, SpanHandle};
-pub use trace::{TraceNode, TraceTree};
+pub use trace::TraceTree;

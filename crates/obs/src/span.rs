@@ -6,6 +6,14 @@
 //! a `span.duration_us` histogram labeled with the full path — plus a
 //! bounded ring of recent [`SpanEvent`]s for inspection.
 //!
+//! [`Span::finish`] closes a span the same way and also returns the
+//! [`StageCost`] it timed, so a query's profile and its trace are two
+//! views of the same clock reads. Every span reads the clock once at
+//! open and once at close, both as whole microseconds since one
+//! process-wide anchor; its duration is the difference. A child's
+//! interval therefore always nests inside its parent's, in the trace
+//! and in any profile built from it.
+//!
 //! Every span carries a process-unique numeric id and its parent's id,
 //! so a flat list of [`SpanEvent`]s reconstructs into a tree (see
 //! [`crate::trace`]) even when the same path occurs many times — e.g.
@@ -24,8 +32,10 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use starts_proto::StageCost;
 
 use crate::registry::Registry;
+use crate::trace::TRACE_FIELD;
 
 /// How many completed spans the ring buffer keeps.
 const SPAN_LOG_CAP: usize = 4096;
@@ -38,6 +48,16 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 fn anchor() -> Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     *ANCHOR.get_or_init(Instant::now)
+}
+
+/// Whole microseconds from the anchor to `t`, rounded down (negative
+/// for an instant before the anchor).
+fn anchor_us(t: Instant) -> i128 {
+    let a = anchor();
+    match t.checked_duration_since(a) {
+        Some(d) => d.as_micros() as i128,
+        None => -(a.duration_since(t).as_nanos().div_ceil(1_000) as i128),
+    }
 }
 
 thread_local! {
@@ -116,7 +136,7 @@ impl SpanLog {
     }
 }
 
-/// An open span; records itself on drop.
+/// An open span; records itself on drop, or on [`Span::finish`].
 pub struct Span<'r> {
     reg: &'r Registry,
     id: u64,
@@ -124,9 +144,10 @@ pub struct Span<'r> {
     path: String,
     name: String,
     parent: String,
-    start_us: u64,
     start: Instant,
+    start_us: u64,
     fields: Vec<(&'static str, String)>,
+    closed: bool,
 }
 
 impl<'r> Span<'r> {
@@ -137,7 +158,6 @@ impl<'r> Span<'r> {
         fields: Vec<(&'static str, String)>,
     ) -> Self {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let start_us = anchor().elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let (parent, parent_id, path) = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             let (parent, parent_id) = match explicit_parent {
@@ -155,6 +175,10 @@ impl<'r> Span<'r> {
             stack.push((path.clone(), id));
             (parent, parent_id, path)
         });
+        // Set the anchor before reading the start, so the start offset
+        // is never negative.
+        anchor();
+        let start = Instant::now();
         Span {
             reg,
             id,
@@ -162,9 +186,10 @@ impl<'r> Span<'r> {
             path,
             name: name.to_string(),
             parent,
-            start_us,
-            start: Instant::now(),
+            start,
+            start_us: anchor_us(start) as u64,
             fields,
+            closed: false,
         }
     }
 
@@ -186,11 +211,43 @@ impl<'r> Span<'r> {
             id: self.id,
         }
     }
-}
 
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let duration_us = self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    /// When the span opened: the origin to [`finish`](Span::finish) a
+    /// profile's stages against when this span is the profile's root.
+    pub fn started(&self) -> Instant {
+        self.start
+    }
+
+    /// Add a structured field after opening (a value only known once
+    /// the work is under way).
+    pub fn add_field(&mut self, key: &'static str, value: impl ToString) {
+        self.fields.push((key, value.to_string()));
+    }
+
+    /// Close the span: record its [`SpanEvent`] exactly as dropping it
+    /// would, and return the [`StageCost`] it timed — the same start and
+    /// duration, with the start as an offset from `origin` and the
+    /// fields (minus the `trace` tag) as stage metadata.
+    pub fn finish(mut self, origin: Instant) -> StageCost {
+        let end_us = anchor_us(Instant::now()) as u64;
+        let mut stage = StageCost::new(
+            self.name.clone(),
+            (i128::from(self.start_us) - anchor_us(origin)).max(0) as u64,
+            end_us.saturating_sub(self.start_us),
+        );
+        stage.meta = self
+            .fields
+            .iter()
+            .filter(|(k, _)| *k != TRACE_FIELD)
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
+        self.close(end_us);
+        stage
+    }
+
+    fn close(&mut self, end_us: u64) {
+        self.closed = true;
+        let duration_us = end_us.saturating_sub(self.start_us);
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // RAII guards drop LIFO; be tolerant of manual `drop()` in
@@ -214,6 +271,14 @@ impl Drop for Span<'_> {
             duration_us,
             fields: std::mem::take(&mut self.fields),
         });
+    }
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        if !self.closed {
+            self.close(anchor_us(Instant::now()) as u64);
+        }
     }
 }
 
@@ -300,6 +365,37 @@ mod tests {
         assert_eq!(child.parent, parent_handle.path);
         assert_eq!(child.parent_id, parent_handle.id);
         assert_eq!(child.path, "dispatch/worker");
+    }
+
+    #[test]
+    fn finish_returns_the_stage_the_event_recorded() {
+        let reg = Registry::new();
+        let mut root = reg.span_with("root", vec![(TRACE_FIELD, "q-f".to_string())]);
+        let origin = root.started();
+        let child = reg.span_with("child", vec![("source", "S1".to_string())]);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let child = child.finish(origin);
+        root.add_field("results", 3);
+        let root = root.finish(origin);
+        let events = reg.recent_spans();
+        assert_eq!(events.len(), 2, "finishing records once, drop adds nothing");
+        let (child_ev, root_ev) = (&events[0], &events[1]);
+        assert_eq!(child_ev.parent_id, root_ev.id);
+        // Same clock reads: durations are equal, and offsets from the
+        // root's start are the events' start differences.
+        assert_eq!(child.duration_us, child_ev.duration_us);
+        assert!(child.duration_us >= 1_000, "slept 1ms");
+        assert_eq!(root.duration_us, root_ev.duration_us);
+        assert_eq!(root.start_us, 0);
+        assert_eq!(child.start_us, child_ev.start_us - root_ev.start_us);
+        assert!(child.end_us() <= root.end_us(), "the child nests");
+        // Fields become metadata, minus the trace tag.
+        assert_eq!(child.meta, vec![("source".to_string(), "S1".to_string())]);
+        assert_eq!(root.meta, vec![("results".to_string(), "3".to_string())]);
+        assert_eq!(root_ev.field("results"), Some("3"));
+        let snap = reg.snapshot();
+        let h = snap.histogram("span.duration_us", &[("span", "root/child")]);
+        assert_eq!(h.map(|h| h.count), Some(1));
     }
 
     #[test]

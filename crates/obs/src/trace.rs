@@ -10,9 +10,8 @@
 //!
 //! * [`TraceTree::build`] — collect every span belonging to a query id
 //!   (tagged directly, or reachable from a tagged span through the
-//!   parent-id chain) and link them into a tree;
-//! * [`TraceTree::critical_path`] — the chain of spans that actually
-//!   determined the query's wall-clock latency;
+//!   parent-id chain) and link them into [`QueryProfile`]s, whose
+//!   `render` and `critical_path` serve traces and profiles alike;
 //! * [`write_jsonl`] / [`dump_jsonl`] — a line-per-span JSON sink for
 //!   offline analysis (every bench binary honours `--trace-jsonl`).
 
@@ -20,6 +19,8 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use starts_proto::{QueryProfile, StageCost};
 
 use crate::span::SpanEvent;
 
@@ -32,69 +33,20 @@ pub fn next_query_id() -> String {
     format!("q-{:06}", NEXT.fetch_add(1, Ordering::Relaxed))
 }
 
-/// One node of a trace tree: a completed span and its children,
-/// ordered by start time.
-#[derive(Debug, Clone)]
-pub struct TraceNode {
-    /// The completed span.
-    pub event: SpanEvent,
-    /// Child spans, ordered by start time.
-    pub children: Vec<TraceNode>,
-}
-
-impl TraceNode {
-    /// Number of spans in this subtree (including this one).
-    pub fn len(&self) -> usize {
-        1 + self.children.iter().map(TraceNode::len).sum::<usize>()
-    }
-
-    /// Whether the subtree is a single leaf.
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-
-    /// Depth-first search for the first node with the given leaf name.
-    pub fn find(&self, name: &str) -> Option<&TraceNode> {
-        if self.event.name == name {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(name))
-    }
-
-    fn render_into(&self, depth: usize, out: &mut String) {
-        let fields: Vec<String> = self
-            .event
-            .fields
-            .iter()
-            .filter(|(k, _)| *k != TRACE_FIELD)
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        out.push_str(&format!(
-            "{}{} {}us{}\n",
-            "  ".repeat(depth),
-            self.event.name,
-            self.event.duration_us,
-            if fields.is_empty() {
-                String::new()
-            } else {
-                format!(" [{}]", fields.join(" "))
-            }
-        ));
-        for c in &self.children {
-            c.render_into(depth + 1, out);
-        }
-    }
-}
-
 /// A stitched per-query trace: every span that belongs to one query id,
-/// linked by parent span ids.
+/// linked by parent span ids into [`QueryProfile`]s — the same tree
+/// type a search returns, so `find`, `render` and `critical_path` work
+/// on both, and a span tree and a profile of the same query compare
+/// stage by stage.
 #[derive(Debug, Clone)]
 pub struct TraceTree {
     /// The query id the trace was built for.
     pub query_id: String,
-    /// Root spans (spans in the trace whose parent is not), ordered by
-    /// start time. A healthy metasearch yields exactly one.
-    pub roots: Vec<TraceNode>,
+    /// One profile per root span (a span in the trace whose parent is
+    /// not), ordered by start time; a healthy metasearch yields exactly
+    /// one. Offsets are relative to the root's start, and each stage's
+    /// metadata is its span's fields minus the `trace` tag.
+    pub roots: Vec<QueryProfile>,
 }
 
 impl TraceTree {
@@ -127,128 +79,69 @@ impl TraceTree {
                 }
             }
         }
-        // Link members into nodes; roots are members whose parent is
-        // not a member (0, evicted from the ring, or outside the trace).
-        let mut nodes: HashMap<u64, TraceNode> = events
+        // Link members, each once, in start order; roots are members
+        // whose parent is not a member (0, evicted from the ring, or
+        // outside the trace) or is the span itself.
+        let mut members: Vec<&SpanEvent> = events
             .iter()
             .filter(|e| member_ids.contains(&e.id))
-            .map(|e| {
-                (
-                    e.id,
-                    TraceNode {
-                        event: e.clone(),
-                        children: Vec::new(),
-                    },
-                )
-            })
             .collect();
-        // Attach children to parents, newest id first: ids are handed
-        // out in creation order and a child is always created after its
-        // parent, so parents still exist in the map when their children
-        // are moved in (start_us can tie at microsecond resolution).
-        let mut order: Vec<u64> = nodes.keys().copied().collect();
-        order.sort_by_key(|id| std::cmp::Reverse(*id));
-        for id in order {
-            let parent_id = nodes[&id].event.parent_id;
-            if parent_id != 0 && nodes.contains_key(&parent_id) && parent_id != id {
-                let child = nodes.remove(&id).expect("node present");
-                nodes
-                    .get_mut(&parent_id)
-                    .expect("parent present")
-                    .children
-                    .push(child);
+        members.sort_by_key(|e| (e.start_us, e.id));
+        let mut kids: HashMap<u64, Vec<&SpanEvent>> = HashMap::new();
+        let mut roots = Vec::new();
+        for e in members {
+            if e.parent_id != e.id && member_ids.contains(&e.parent_id) {
+                kids.entry(e.parent_id).or_default().push(e);
+            } else {
+                roots.push(e);
             }
         }
-        let mut roots: Vec<TraceNode> = nodes.into_values().collect();
-        sort_recursive(&mut roots);
+        let mut linked = HashSet::new();
         TraceTree {
             query_id: query_id.to_string(),
-            roots,
+            roots: roots
+                .into_iter()
+                .map(|e| QueryProfile {
+                    query_id: query_id.to_string(),
+                    root: link(e, e.start_us, &kids, &mut linked),
+                })
+                .collect(),
         }
-    }
-
-    /// Number of spans in the trace.
-    pub fn len(&self) -> usize {
-        self.roots.iter().map(TraceNode::len).sum()
     }
 
     /// Whether the trace is empty (unknown query id).
     pub fn is_empty(&self) -> bool {
         self.roots.is_empty()
     }
-
-    /// Total duration: the first root's wall-clock time.
-    pub fn total_duration_us(&self) -> u64 {
-        self.roots.first().map_or(0, |r| r.event.duration_us)
-    }
-
-    /// Depth-first search for the first node with the given leaf name.
-    pub fn find(&self, name: &str) -> Option<&TraceNode> {
-        self.roots.iter().find_map(|r| r.find(name))
-    }
-
-    /// The critical path: starting from the first root, the chain of
-    /// spans that determined the query's end-to-end latency. At each
-    /// node the children are walked backwards from the node's end time,
-    /// repeatedly taking the latest-finishing child that starts before
-    /// the current cursor — the standard backward critical-path sweep.
-    /// Spans are returned in chronological order, root first.
-    pub fn critical_path(&self) -> Vec<&SpanEvent> {
-        let mut out = Vec::new();
-        if let Some(root) = self.roots.first() {
-            critical_into(root, &mut out);
-        }
-        out
-    }
-
-    /// The critical path as `name (duration_us)` joined by ` → ` — the
-    /// form benches and examples print.
-    pub fn critical_path_summary(&self) -> String {
-        self.critical_path()
-            .iter()
-            .map(|e| format!("{} ({}us)", e.name, e.duration_us))
-            .collect::<Vec<_>>()
-            .join(" → ")
-    }
-
-    /// Render the tree as indented text (one span per line).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.roots {
-            r.render_into(0, &mut out);
-        }
-        out
-    }
 }
 
-fn sort_recursive(nodes: &mut [TraceNode]) {
-    nodes.sort_by_key(|n| (n.event.start_us, n.event.id));
-    for n in nodes {
-        sort_recursive(&mut n.children);
-    }
-}
-
-fn critical_into<'a>(node: &'a TraceNode, out: &mut Vec<&'a SpanEvent>) {
-    out.push(&node.event);
-    let mut cursor = node.event.end_us();
-    let mut remaining: Vec<&TraceNode> = node.children.iter().collect();
-    let mut chain: Vec<&TraceNode> = Vec::new();
-    // Sweep backwards from the node's end, taking the latest-finishing
-    // child that started before the cursor. Each step removes a child,
-    // so the sweep terminates.
-    while let Some((idx, _)) = remaining
+/// The stage a span timed, offsets rebased on `base`, with its member
+/// children. `linked` guards against a span id that occurs twice (a
+/// duplicated JSONL line) closing a loop.
+fn link(
+    e: &SpanEvent,
+    base: u64,
+    kids: &HashMap<u64, Vec<&SpanEvent>>,
+    linked: &mut HashSet<u64>,
+) -> StageCost {
+    linked.insert(e.id);
+    let mut stage = StageCost::new(
+        e.name.clone(),
+        e.start_us.saturating_sub(base),
+        e.duration_us,
+    );
+    stage.meta = e
+        .fields
         .iter()
-        .enumerate()
-        .filter(|(_, c)| c.event.start_us <= cursor)
-        .max_by_key(|(_, c)| (c.event.end_us(), c.event.id))
-    {
-        let chosen = remaining.swap_remove(idx);
-        cursor = chosen.event.start_us;
-        chain.push(chosen);
+        .filter(|(k, _)| *k != TRACE_FIELD)
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect();
+    for child in kids.get(&e.id).into_iter().flatten() {
+        if !linked.contains(&child.id) {
+            stage.children.push(link(child, base, kids, linked));
+        }
     }
-    for c in chain.iter().rev() {
-        critical_into(c, out);
-    }
+    stage
 }
 
 // ---------------------------------------------------------------------
@@ -599,6 +492,11 @@ mod tests {
         }
     }
 
+    /// Stages in a subtree, counting its root.
+    fn stages(s: &StageCost) -> usize {
+        1 + s.children.iter().map(stages).sum::<usize>()
+    }
+
     #[test]
     fn builds_one_tree_per_query_id() {
         let reg = Registry::new();
@@ -606,12 +504,13 @@ mod tests {
         record_query(&reg, "q-b");
         let events = reg.recent_spans();
         let tree = TraceTree::build("q-a", &events);
-        assert_eq!(tree.roots.len(), 1, "{}", tree.render());
-        assert_eq!(tree.roots[0].event.name, "meta.search");
-        assert_eq!(tree.len(), 7);
+        assert_eq!(tree.roots.len(), 1);
+        assert_eq!(tree.roots[0].root.name, "meta.search");
+        assert_eq!(tree.roots[0].query_id, "q-a");
+        assert_eq!(stages(&tree.roots[0].root), 7);
         // The other query's spans stay out.
         let other = TraceTree::build("q-b", &events);
-        assert_eq!(other.len(), 7);
+        assert_eq!(stages(&other.roots[0].root), 7);
         assert!(TraceTree::build("q-none", &events).is_empty());
     }
 
@@ -620,35 +519,63 @@ mod tests {
         let reg = Registry::new();
         record_query(&reg, "q-x");
         let tree = TraceTree::build("q-x", &reg.recent_spans());
-        let host = tree.find("source.execute").expect("host span in tree");
-        assert_eq!(host.event.parent, "meta.search/dispatch/source");
-        let worker = tree.find("source").expect("worker span");
-        assert_eq!(worker.event.parent, "meta.search/dispatch");
-        assert!(worker
+        let root = &tree.roots[0].root;
+        let dispatch = root
             .children
             .iter()
-            .any(|c| c.event.name == "source.execute"));
+            .find(|c| c.name == "dispatch")
+            .expect("dispatch under the root");
+        let worker = dispatch
+            .children
+            .iter()
+            .find(|c| c.name == "source")
+            .expect("worker under dispatch");
+        let host = worker
+            .children
+            .iter()
+            .find(|c| c.name == "source.execute")
+            .expect("host span under the worker");
         // The host's own child rides along through the parent chain.
-        assert!(host.children.iter().any(|c| c.event.name == "rewrite"));
+        assert!(host.children.iter().any(|c| c.name == "rewrite"));
+    }
+
+    #[test]
+    fn roots_are_profiles_with_fields_as_meta() {
+        let reg = Registry::new();
+        {
+            let _root = reg.span_with("meta.search", vec![(TRACE_FIELD, "q-p".to_string())]);
+            let _child = reg.span_with("dispatch", vec![("wave", "1".to_string())]);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let events = reg.recent_spans();
+        let p = &TraceTree::build("q-p", &events).roots[0];
+        assert_eq!(p.root.start_us, 0, "rebased on the root's start");
+        let dispatch = p.find("dispatch").expect("child stage");
+        assert_eq!(dispatch.duration_us, events[0].duration_us);
+        assert!(dispatch.duration_us >= 1_000, "slept 1ms");
+        assert_eq!(dispatch.start_us, events[0].start_us - events[1].start_us);
+        assert_eq!(dispatch.meta_value("wave"), Some("1"));
+        // The trace tag is stripped from stage metadata.
+        assert!(p.root.meta.is_empty());
+        assert!(p.is_consistent());
     }
 
     #[test]
     fn critical_path_is_chronological_and_rooted() {
         let reg = Registry::new();
         record_query(&reg, "q-c");
-        let tree = TraceTree::build("q-c", &reg.recent_spans());
-        let cp = tree.critical_path();
-        assert!(!cp.is_empty());
+        let profile = &TraceTree::build("q-c", &reg.recent_spans()).roots[0];
+        let cp = profile.critical_path();
         assert_eq!(cp[0].name, "meta.search");
         for pair in cp.windows(2) {
             assert!(
                 pair[1].start_us >= pair[0].start_us,
                 "critical path out of order: {}",
-                tree.critical_path_summary()
+                profile.critical_path_summary()
             );
         }
         // The summary names every hop.
-        let summary = tree.critical_path_summary();
+        let summary = profile.critical_path_summary();
         assert!(summary.starts_with("meta.search ("), "{summary}");
         assert!(summary.contains(" → "), "{summary}");
     }
@@ -670,7 +597,27 @@ mod tests {
         }
         let tree = TraceTree::build("q-orphan", &reg.recent_spans());
         assert_eq!(tree.roots.len(), 1);
-        assert_eq!(tree.roots[0].event.name, "late");
+        assert_eq!(tree.roots[0].root.name, "late");
+    }
+
+    #[test]
+    fn duplicated_span_ids_cannot_loop() {
+        // A dump with a repeated id: 5 → 6 → 5 would cycle if linked
+        // naively. Each id joins the tree once.
+        let ev = |id, parent_id, name: &str| SpanEvent {
+            id,
+            parent_id,
+            path: name.to_string(),
+            name: name.to_string(),
+            parent: String::new(),
+            start_us: id,
+            duration_us: 1,
+            fields: vec![(TRACE_FIELD, "q-d".to_string())],
+        };
+        let events = [ev(5, 0, "a"), ev(6, 5, "b"), ev(5, 6, "c")];
+        let tree = TraceTree::build("q-d", &events);
+        assert_eq!(tree.roots.len(), 1);
+        assert_eq!(stages(&tree.roots[0].root), 2);
     }
 
     #[test]
@@ -700,7 +647,7 @@ mod tests {
         assert_eq!(back, events);
         // The reconstructed events stitch into the same tree.
         let tree = TraceTree::build("q-r", &back);
-        assert_eq!(tree.len(), TraceTree::build("q-r", &events).len());
+        assert_eq!(tree.roots, TraceTree::build("q-r", &events).roots);
     }
 
     #[test]

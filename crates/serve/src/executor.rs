@@ -31,8 +31,8 @@ use starts_meta::merge::{MergedDoc, SourceResult};
 use starts_meta::metasearcher::{MetaConfig, QueryStats};
 use starts_meta::pipeline::{self, DispatchTask, QueryPlan, TaskError, TaskSuccess};
 use starts_net::{CancelToken, SimNet, StartsClient};
-use starts_obs::{Registry, SpanHandle};
-use starts_proto::{Query, QueryProfile, StageCost};
+use starts_obs::{Registry, Span, SpanHandle};
+use starts_proto::{Query, QueryProfile};
 
 use crate::cache::ResultCache;
 use crate::flight::{ResponseSlot, Singleflight};
@@ -435,8 +435,8 @@ fn query_worker(inner: &Arc<ServerInner>) {
 fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     let obs: &Registry = inner.net.registry();
     let query_id = starts_obs::trace::next_query_id();
-    let t0 = Instant::now();
-    let _root = obs.span_with("serve.query", vec![("trace", query_id.clone())]);
+    let root = obs.span_with("serve.query", vec![("trace", query_id.clone())]);
+    let t0 = root.started();
 
     // Plan on this thread: selection and adaptation are wire-free, and
     // the flight key needs the selected source set.
@@ -461,7 +461,7 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     }
     obs.counter("serve.singleflight.leader").inc();
 
-    let response = Arc::new(run_wave(inner, &job, plan, &query_id, t0));
+    let response = Arc::new(run_wave(inner, &job, plan, &query_id, root));
     inner
         .cache
         .store(key.clone(), Arc::clone(&response), &response.selected);
@@ -477,22 +477,22 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     }
 }
 
-/// Lead one dispatch wave: submit primaries, hedge stragglers, honour
-/// the deadline, merge whatever finished.
+/// Lead one dispatch wave under the query's `root` span: submit
+/// primaries, hedge stragglers, honour the deadline, merge whatever
+/// finished.
 fn run_wave(
     inner: &Arc<ServerInner>,
     job: &QueryJob,
     plan: QueryPlan,
     query_id: &str,
-    t0: Instant,
+    mut root: Span<'_>,
 ) -> ServeResponse {
     let obs: &Registry = inner.net.registry();
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    let t0 = root.started();
     let deadline_ms = job.deadline_ms.unwrap_or(inner.serve.deadline_ms);
     let deadline = (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
 
-    let dispatch_start = elapsed_us(t0);
-    let dispatch_span = obs.span("dispatch");
+    let mut dispatch_span = obs.span("dispatch");
     let parent = dispatch_span.handle();
     let wave = Arc::new(WaveState {
         slots: Mutex::new(Vec::new()),
@@ -639,69 +639,26 @@ fn run_wave(
         completeness.push(SourceCompleteness { source, status });
     }
     drop(slots);
-    drop(dispatch_span);
-    let dispatch_end = elapsed_us(t0);
-
-    inner.config.health.export_to(obs);
-    let mut stats = QueryStats::default();
-    let mut source_stages = Vec::new();
-    let per_source: Vec<SourceResult> = successes
-        .into_iter()
-        .map(|success| {
-            stats.absorb(&success.exchange);
-            source_stages.push(success.stage);
-            success.result
-        })
-        .collect();
-    obs.gauge("meta.query_cost").add(stats.total_cost);
-
-    let (merged, _mstats, merge_costs) = pipeline::merge_stage(
-        inner.config.merger.as_ref(),
-        &per_source,
-        inner.config.max_results,
-        obs,
-        t0,
+    dispatch_span.add_field("partial", expired);
+    root.add_field("partial", expired);
+    let done = pipeline::complete(
+        &inner.net,
+        &inner.config,
+        query_id,
+        &plan,
+        root,
+        dispatch_span,
+        successes,
     );
-
-    let mut dispatch_stage = StageCost::new(
-        "dispatch",
-        dispatch_start,
-        dispatch_end.saturating_sub(dispatch_start),
-    )
-    .with_meta("sources", source_stages.len())
-    .with_meta("partial", expired);
-    dispatch_stage.children = source_stages;
-    let profile = QueryProfile {
-        query_id: query_id.to_string(),
-        root: StageCost {
-            name: "serve.query".to_string(),
-            start_us: 0,
-            duration_us: elapsed_us(t0),
-            meta: vec![
-                ("results".to_string(), merged.len().to_string()),
-                ("partial".to_string(), expired.to_string()),
-            ],
-            children: vec![
-                plan.select_stage.clone(),
-                plan.adapt_stage.clone(),
-                dispatch_stage,
-                merge_costs,
-            ],
-        },
-    };
-    inner.config.recorder.record(&profile);
-    inner.config.recorder.export_to(obs);
-    inner.net.monitor().tick(obs);
-
     ServeResponse {
-        merged,
+        merged: done.merged,
         selected: plan.selected,
-        per_source,
+        per_source: done.per_source,
         completeness,
         partial: expired,
-        stats,
+        stats: done.stats,
         query_id: query_id.to_string(),
-        profile,
+        profile: done.profile,
     }
 }
 

@@ -1,14 +1,10 @@
 //! Query execution at one source: rewrite → translate → search → answer
 //! specification → result construction (§4.1.2, §4.2).
 
-use std::time::Instant;
-
 use starts_index::{DocId, Hit, SearchOptions};
-use starts_obs::Registry;
+use starts_obs::{Registry, Span};
 use starts_proto::query::{SortKey, SortOrder};
-use starts_proto::{
-    Field, Query, QueryProfile, QueryResults, ResultDocument, StageCost, TermStatsEntry,
-};
+use starts_proto::{Field, Query, QueryProfile, QueryResults, ResultDocument, TermStatsEntry};
 
 use crate::extensions::{translate_filter_ext, translate_ranking_ext};
 use crate::rewrite::{rewrite_query, Rewritten};
@@ -21,7 +17,7 @@ pub fn execute(source: &Source, query: &Query) -> QueryResults {
 }
 
 /// Execute `query` at `source`, recording phase timings (`rewrite` →
-/// `translate` → `execute` spans under `source.execute`) and
+/// `translate` → `execute` → `search` spans under `source.execute`) and
 /// rewrite-downgrade counters into `obs` when given.
 ///
 /// When the query carries a trace context (the `XTraceContext`
@@ -31,16 +27,15 @@ pub fn execute(source: &Source, query: &Query) -> QueryResults {
 /// context is echoed back on the results, together with an
 /// `XQueryProfile` extension attribute breaking the host-side cost into
 /// rewrite/translate/execute stages (search latency and prune counters
-/// included). Untraced queries get neither attribute, so their
-/// encodings stay byte-identical to the paper's examples.
+/// included). Each stage is the span that timed it, closed with
+/// [`Span::finish`](starts_obs::Span::finish), so with no registry
+/// there are no spans and no profile: a traced query executed without
+/// `obs` comes back with the context but `profile: None`. The network
+/// host always passes its registry. Untraced queries get neither
+/// attribute, so their encodings stay byte-identical to the paper's
+/// examples.
 pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) -> QueryResults {
-    // Spans record durations only when dropped, so the wire-visible
-    // profile keeps its own explicit clock. All offsets are relative to
-    // `t0`, the host-side root.
-    let profiling = query.trace.is_some();
-    let t0 = Instant::now();
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
-    let _root = obs.map(|reg| {
+    let root = obs.map(|reg| {
         reg.counter_with("source.queries", &[("source", source.id())])
             .inc();
         match &query.trace {
@@ -58,46 +53,45 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
             None => reg.span_with("source.execute", vec![("source", source.id().to_string())]),
         }
     });
+    // Profile only traced queries: an untraced span just drops. Offsets
+    // are relative to the host-side root's start.
+    let origin = root
+        .as_ref()
+        .filter(|_| query.trace.is_some())
+        .map(Span::started);
+    let open = |name: &str| obs.map(|reg| reg.span(name));
+    let close = |span: Option<Span<'_>>| span.zip(origin).map(|(s, o)| s.finish(o));
     let engine = source.engine();
     let analyzer = engine.analyzer();
     let is_stop = |w: &str| analyzer.is_stop_word(w);
 
     // Phase 1: rewrite against the source's declared capabilities.
-    let rewrite_start = elapsed_us(t0);
-    let rewritten = {
-        let _span = obs.map(|reg| reg.span("rewrite"));
-        rewrite_query(
-            query,
-            source.metadata(),
-            &is_stop,
-            analyzer.config().can_disable_stop_words,
-        )
-    };
-    let rewrite_end = elapsed_us(t0);
+    let span = open("rewrite");
+    let rewritten = rewrite_query(
+        query,
+        source.metadata(),
+        &is_stop,
+        analyzer.config().can_disable_stop_words,
+    );
+    let rewrite = close(span);
     if let Some(reg) = obs {
         count_downgrades(reg, source.id(), query, &rewritten);
     }
 
     // Phase 2: translate the actual query into the engine's IR.
-    let translate_start = elapsed_us(t0);
-    let (filter_ir, ranking_ir) = {
-        let _span = obs.map(|reg| reg.span("translate"));
-        (
-            rewritten
-                .filter
-                .as_ref()
-                .map(|f| translate_filter_ext(f, analyzer)),
-            rewritten
-                .ranking
-                .as_ref()
-                .map(|r| translate_ranking_ext(r, analyzer)),
-        )
-    };
-    let translate_end = elapsed_us(t0);
+    let span = open("translate");
+    let filter_ir = rewritten
+        .filter
+        .as_ref()
+        .map(|f| translate_filter_ext(f, analyzer));
+    let ranking_ir = rewritten
+        .ranking
+        .as_ref()
+        .map(|r| translate_ranking_ext(r, analyzer));
+    let translate = close(span);
 
     // Phase 3: execute — search, answer specification, result objects.
-    let execute_start = elapsed_us(t0);
-    let _span = obs.map(|reg| reg.span("execute"));
+    let execute_span = open("execute");
     let limit = fast_path_limit(&query.answer, ranking_ir.is_some()).map(|k| {
         // The cap comes off the wire and sizes the engine's top-k heap:
         // clamp it to the corpus, which no result list can exceed.
@@ -119,7 +113,7 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
         })
         .inc();
     }
-    let search_start = elapsed_us(t0);
+    let span = open("search");
     let (mut hits, _, prune) = engine.search_top_k_observed(
         filter_ir.as_ref(),
         ranking_ir.as_ref(),
@@ -128,7 +122,7 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
             min_score: query.answer.min_doc_score,
         },
     );
-    let search_end = elapsed_us(t0);
+    let search = close(span);
     if let Some(reg) = obs {
         // Dynamic-pruning effectiveness (§ docs/performance.md): how many
         // candidate docs the bound check discarded without scoring. The
@@ -185,38 +179,26 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
             .observe(documents.len() as u64);
     }
 
-    let profile = profiling.then(|| {
-        let search = StageCost::new("search", search_start, search_end - search_start);
-        let execute_end = elapsed_us(t0);
-        let mut execute = StageCost::new("execute", execute_start, execute_end - execute_start)
+    let execute = close(execute_span).map(|stage| {
+        let mut stage = stage
             .with_meta("candidates", prune.candidates)
             .with_meta("skipped_docs", prune.skipped_docs)
             .with_meta("skipped_leaves", prune.skipped_leaves)
             .with_meta("blocks_skipped", prune.blocks_skipped)
             .with_meta("results", documents.len());
-        execute.children = vec![search];
-        let total = elapsed_us(t0);
+        stage.children.extend(search);
+        stage
+    });
+    let profile = close(root).map(|mut root| {
+        root.children
+            .extend(rewrite.into_iter().chain(translate).chain(execute));
         QueryProfile {
             query_id: query
                 .trace
                 .as_ref()
                 .map(|ctx| ctx.query_id.clone())
                 .unwrap_or_default(),
-            root: StageCost {
-                name: "source.execute".to_string(),
-                start_us: 0,
-                duration_us: total,
-                meta: vec![("source".to_string(), source.id().to_string())],
-                children: vec![
-                    StageCost::new("rewrite", rewrite_start, rewrite_end - rewrite_start),
-                    StageCost::new(
-                        "translate",
-                        translate_start,
-                        translate_end - translate_start,
-                    ),
-                    execute,
-                ],
-            },
+            root,
         }
     });
 
@@ -509,6 +491,44 @@ mod tests {
         }];
         execute_traced(&s, &q, Some(&reg));
         assert_eq!(reg.snapshot().counter("engine.topk.full", &[]), 1);
+    }
+
+    #[test]
+    fn the_profile_is_the_spans_and_needs_a_registry() {
+        let s = source();
+        let mut q = query("", r#"list((body-of-text "databases"))"#);
+        q.trace = Some(starts_proto::TraceContext {
+            query_id: "q-exec".to_string(),
+            parent_path: "dispatch/source".to_string(),
+            parent_span_id: 0,
+        });
+        // No registry, no spans, no profile; the context still echoes.
+        let bare = s.execute(&q);
+        assert_eq!(bare.trace, q.trace);
+        assert!(bare.profile.is_none());
+
+        let reg = Registry::default();
+        let traced = execute_traced(&s, &q, Some(&reg));
+        assert_eq!(traced.documents, bare.documents);
+        let profile = traced.profile.expect("a registry makes a profile");
+        assert_eq!(profile.query_id, "q-exec");
+        assert!(profile.is_consistent());
+        // Each stage is the span that timed it: same duration, same
+        // offset from the host-side root.
+        let events = reg.recent_spans();
+        let root = events.iter().find(|e| e.name == "source.execute").unwrap();
+        for name in ["rewrite", "translate", "execute", "search"] {
+            let stage = profile.find(name).expect("stage");
+            let span = events.iter().find(|e| e.name == name).expect("span");
+            assert_eq!(stage.duration_us, span.duration_us, "{name}");
+            assert_eq!(stage.start_us, span.start_us - root.start_us, "{name}");
+        }
+        assert_eq!(profile.total_us(), root.duration_us);
+        assert_eq!(profile.root.meta_value("source"), Some("Source-1"));
+        assert_eq!(
+            events.iter().find(|e| e.name == "search").unwrap().path,
+            "dispatch/source/source.execute/execute/search"
+        );
     }
 
     #[test]

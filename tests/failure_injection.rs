@@ -258,3 +258,117 @@ fn hostile_max_number_documents_is_clamped_to_the_corpus() {
     }
     assert_eq!(clamped(&net), 2);
 }
+
+#[test]
+fn hostile_query_profile_is_dropped_not_a_panicked_dispatch() {
+    // A source answers with valid results and an `XQueryProfile` whose
+    // stage starts at u64::MAX. Grafting it under the client's `source`
+    // stage used to overflow the shift, so the dispatch counted as
+    // panicked and the source's valid results were dropped.
+    use starts::proto::{QueryProfile, StageCost};
+
+    let net = SimNet::new();
+    good_source(&net, "Good", "shared");
+    good_source(&net, "Hostile", "shared");
+    let catalog = discover(&net, &["Good", "Hostile"]);
+    let hostile = Source::build(
+        SourceConfig::new("Hostile"),
+        &[Document::new()
+            .field("title", "Hostile document")
+            .field("body-of-text", "shared text content here")
+            .field("linkage", "http://Hostile/doc")],
+    );
+    let obs = Arc::clone(net.registry());
+    net.register(
+        "starts://hostile/query",
+        LinkProfile::default(),
+        Arc::new(move |request: &[u8]| {
+            let obj = starts::soif::parse_one(request, starts::soif::ParseMode::Lenient).unwrap();
+            let query = Query::from_soif(&obj).unwrap();
+            let mut results = hostile.execute_traced(&query, Some(&obs));
+            let mut root = StageCost::new("source.execute", 0, 10);
+            root.children = vec![StageCost::new("rewrite", u64::MAX, 0)];
+            results.profile = Some(QueryProfile {
+                query_id: query.trace.map(|t| t.query_id).unwrap_or_default(),
+                root,
+            });
+            results.to_soif_stream()
+        }),
+    );
+    let meta = Metasearcher::new(
+        &net,
+        catalog,
+        MetaConfig {
+            max_sources: 2,
+            ..MetaConfig::default()
+        },
+    );
+    let resp = meta.search(&Query {
+        ranking: Some(parse_ranking(r#"list((body-of-text "shared"))"#).unwrap()),
+        ..Query::default()
+    });
+    let snap = net.registry().snapshot();
+    assert_eq!(
+        snap.counter("meta.dispatch.panics", &[("source", "Hostile")]),
+        0
+    );
+    assert_eq!(resp.per_source.len(), 2, "both sources' results are kept");
+    assert!(resp
+        .merged
+        .iter()
+        .any(|d| d.linkage == "http://Hostile/doc"));
+    // The unusable profile degrades to none; the client's own stage
+    // for the source stays.
+    let hostile = resp
+        .per_source
+        .iter()
+        .find(|r| r.results.sources == ["Hostile"])
+        .expect("hostile results");
+    assert!(hostile.results.profile.is_none());
+    assert!(resp.profile.is_consistent());
+}
+
+#[test]
+fn hostile_min_document_score_is_rejected_and_counted() {
+    // `f64::from_str` reads `inf`, `NaN` and `1e400`; `inf` used to mean
+    // "no threshold" and returned every document.
+    let net = SimNet::new();
+    let docs: Vec<Document> = (0..50)
+        .map(|i| {
+            Document::new()
+                .field("body-of-text", format!("databases item{i}"))
+                .field("linkage", format!("http://threshold/{i}"))
+        })
+        .collect();
+    let url = wire_source(
+        &net,
+        Source::build(SourceConfig::new("Threshold"), &docs),
+        LinkProfile::default(),
+    );
+    let query = Query {
+        ranking: Some(parse_ranking(r#"list((body-of-text "databases"))"#).unwrap()),
+        ..Query::default()
+    };
+    let ask = |score: &str| {
+        let mut obj = query.to_soif();
+        obj.push_str("MinDocumentScore", score);
+        let resp = net
+            .request(&url, &starts::soif::write_object(&obj))
+            .expect("the host answers");
+        starts::proto::QueryResults::from_soif_stream(&resp.bytes)
+            .expect("well-formed results")
+            .documents
+            .len()
+    };
+    let rejected = |net: &SimNet| {
+        net.registry()
+            .snapshot()
+            .counter("source.request.rejected", &[("source", "Threshold")])
+    };
+    assert_eq!(ask("-1"), 50, "a finite threshold below every score");
+    assert_eq!(rejected(&net), 0);
+    for hostile in ["inf", "NaN", "1e400", "-inf"] {
+        assert_eq!(ask(hostile), 0, "MinDocumentScore: {hostile}");
+    }
+    assert_eq!(rejected(&net), 4, "each refused request is counted");
+}

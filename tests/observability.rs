@@ -9,7 +9,8 @@ use starts::corpus::{generate_corpus, generate_workload, CorpusConfig, WorkloadC
 use starts::meta::catalog::Catalog;
 use starts::meta::metasearcher::{MetaConfig, Metasearcher};
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
-use starts::obs::export;
+use starts::obs::{export, TraceTree};
+use starts::proto::StageCost;
 use starts::source::{Source, SourceConfig};
 
 const N_SOURCES: usize = 4;
@@ -161,48 +162,43 @@ fn metasearch_produces_one_trace_tree_spanning_the_wire() {
     // One stitched tree per query: a single meta.search root with the
     // pipeline phases under it.
     let tree = meta.trace_tree(&resp.query_id);
-    assert_eq!(
-        tree.roots.len(),
-        1,
-        "one root per query:\n{}",
-        tree.render()
-    );
+    assert_eq!(tree.roots.len(), 1, "one root per query");
     let root = &tree.roots[0];
-    assert_eq!(root.event.name, "meta.search");
-    for phase in ["select", "adapt", "dispatch", "merge"] {
-        assert!(root.find(phase).is_some(), "missing {phase} under root");
-    }
+    assert_eq!(root.root.name, "meta.search");
+    let phases: Vec<&str> = root.root.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(phases, ["select", "adapt", "dispatch", "merge"]);
 
     // The dispatch span fans out one worker per contacted source, and
     // each worker's subtree crosses the wire: the host-side
     // source.execute span (with its rewrite/translate/execute phases)
-    // parents under the client-side dispatch chain.
+    // nests directly under the client-side worker.
     let dispatch = root.find("dispatch").expect("dispatch node");
     let workers: Vec<_> = dispatch
         .children
         .iter()
-        .filter(|c| c.event.name == "source")
+        .filter(|c| c.name == "source")
         .collect();
     assert_eq!(workers.len(), N_SOURCES, "one worker per source");
     for worker in &workers {
         let execute = worker
-            .find("source.execute")
+            .children
+            .iter()
+            .find(|c| c.name == "source.execute")
             .expect("host-side span stitched under the client-side worker");
-        assert_eq!(
-            execute.event.path,
-            "meta.search/dispatch/source/source.execute"
+        let phases: Vec<&str> = execute.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(phases, ["rewrite", "translate", "execute"]);
+        assert!(
+            execute.find("search").is_some(),
+            "engine call under execute"
         );
-        for phase in ["rewrite", "translate", "execute"] {
-            assert!(execute.find(phase).is_some(), "missing host phase {phase}");
-        }
     }
 
-    // The critical path runs from the root through the slowest worker.
-    let path = tree.critical_path();
-    assert!(!path.is_empty());
+    // The sources ran one after another, so the critical path runs
+    // from the root through every worker.
+    let path = root.critical_path();
     assert_eq!(path[0].name, "meta.search");
-    let summary = tree.critical_path_summary();
-    assert!(summary.contains("meta.search"), "summary: {summary}");
+    let on_path = path.iter().filter(|s| s.name == "source").count();
+    assert_eq!(on_path, N_SOURCES, "{}", root.critical_path_summary());
 
     // The health board saw every source succeed, and its gauges ride
     // the ordinary exporters.
@@ -219,6 +215,79 @@ fn metasearch_produces_one_trace_tree_spanning_the_wire() {
     let url = format!("starts://{}/stats", corpus.sources[0].id.to_lowercase());
     let stats = client.fetch_stats(&url).unwrap();
     assert!(stats.counter("source.queries", &[("source", &corpus.sources[0].id)]) >= 1);
+}
+
+/// Every stage of `profile` sits at the same position in `trace` with
+/// the same duration; siblings match by name and `source` metadata, and
+/// the trace may hold stages the profile does not (`client.query`).
+fn assert_stages_in_trace(profile: &StageCost, trace: &StageCost) {
+    assert_eq!(
+        (profile.name.as_str(), profile.duration_us),
+        (trace.name.as_str(), trace.duration_us),
+        "stage and span disagree"
+    );
+    for child in &profile.children {
+        let key = (child.name.as_str(), child.meta_value("source"));
+        let twin = trace
+            .children
+            .iter()
+            .find(|t| (t.name.as_str(), t.meta_value("source")) == key)
+            .unwrap_or_else(|| panic!("{}/{} missing from the trace", profile.name, child.name));
+        assert_stages_in_trace(child, twin);
+    }
+}
+
+#[test]
+fn profile_stages_are_the_spans_that_timed_them() {
+    use starts::serve::{HedgeConfig, ServeConfig, Server};
+    use std::sync::Arc;
+
+    let net = Arc::new(SimNet::new());
+    let (meta, corpus) = searcher(&net);
+    let query = &generate_workload(
+        &corpus,
+        &WorkloadConfig {
+            n_queries: 1,
+            ..WorkloadConfig::default()
+        },
+    )
+    .queries[0]
+        .query;
+    let server = Server::new(
+        Arc::clone(&net),
+        meta.catalog.clone(),
+        MetaConfig {
+            max_sources: N_SOURCES,
+            max_results: 30,
+            ..MetaConfig::default()
+        },
+        ServeConfig {
+            hedge: HedgeConfig {
+                enabled: false,
+                ..HedgeConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    );
+
+    // The direct path: one search, one stitched trace.
+    let direct = meta.search(query);
+    // The serving layer: the same stages on pool threads.
+    let served = server.search(query).expect("served").response;
+    for (profile, root) in [
+        (&direct.profile, "meta.search"),
+        (&served.profile, "serve.query"),
+    ] {
+        assert_eq!(profile.root.name, root);
+        assert!(profile.is_consistent(), "{}", profile.render());
+        let trace = TraceTree::build(&profile.query_id, &net.registry().recent_spans());
+        assert_eq!(trace.roots.len(), 1, "{root}: one root");
+        let host = profile
+            .find("source.execute")
+            .expect("host subtree grafted");
+        assert!(host.find("search").is_some(), "{root}: engine stage");
+        assert_stages_in_trace(&profile.root, &trace.roots[0].root);
+    }
 }
 
 #[test]
@@ -600,7 +669,7 @@ fn trace_trees_rebuild_from_partial_jsonl_dumps() {
     assert_eq!(back.len(), events.len());
     let tree = starts::obs::TraceTree::build(&resp.query_id, &back);
     assert_eq!(tree.roots.len(), 1);
-    assert_eq!(tree.roots[0].event.name, "meta.search");
+    assert_eq!(tree.roots[0].root.name, "meta.search");
 
     // Truncate mid-line and inject garbage: the damaged lines drop,
     // the rest still reconstructs.
